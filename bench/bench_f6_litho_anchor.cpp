@@ -32,7 +32,10 @@ double cd_of(const Image2D& img, double th, double x, double reach = 300.0) {
 }  // namespace
 
 int main() {
-  const LithoSimulator sim;
+  // The litho anchors are taken on the Abbe reference engine.
+  const LithoSimulator sim(
+      OpticalSettings{}, ResistModel{},
+      ImagingOptions{ImagingMode::kAbbe, SocsOptions{}, 0});
   const double th = sim.print_threshold();
   const Rect window{-900, -700, 990, 700};
 

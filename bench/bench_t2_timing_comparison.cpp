@@ -52,6 +52,10 @@ int main() {
     FlowOptions fopt;
     fopt.sta.max_paths = 64;
     fopt.sta.path_window = 60.0;
+    // The headline table stays on the Abbe reference engine; the "T2
+    // headline under full SOCS" section below reproduces its adder8 row on
+    // the default path.
+    fopt.imaging.mode = ImagingMode::kAbbe;
     PostOpcFlow flow = bench::make_flow(design, 0.12, fopt);
     flow.run_opc(OpcMode::kModelBased);
     const TimingComparison cmp = flow.compare_timing();

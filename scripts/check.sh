@@ -39,8 +39,10 @@ cmake --build build-tsan -j "$JOBS" --target par_test fault_test run_test cache_
 ./build-tsan/tests/core_test
 # Batched-vs-scalar determinism at 1 and 4 threads: the chunk-staging
 # slots (per-worker ownership, no locks) must be race-free, and every
-# batch width must reproduce the scalar flow bit for bit.
-./build-tsan/tests/determinism_test --gtest_filter='DeterminismBatch*'
+# batch width must reproduce the scalar flow bit for bit — including the
+# job-sized auto width on small extract subsets and the report-staged
+# hotspot scan (same reports, same ORC cache counters).
+./build-tsan/tests/determinism_test --gtest_filter='DeterminismBatch*:DeterminismSocs*'
 # The incremental-STA equivalence fuzz harness: its 4-thread legs drive the
 # TimingGraph per-level parallel evaluation, so TSan checks the disjoint-
 # slot write contract while the asserts check bit-identity.

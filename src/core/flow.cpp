@@ -134,17 +134,6 @@ LithoSimulator with_abbe(const LithoSimulator& sim) {
 // failure just clears the slots and the per-index body recomputes scalar,
 // under its own fault scope.
 
-/// What batch_windows = kBatchWindowsAuto resolves to — and therefore the
-/// parallel chunk size of a batching hot loop ("auto = par chunk size").
-/// Two full kTileLanes vectors wide: enough to amortize pack/unpack and
-/// keep the work-stealing granularity reasonable on small designs.
-constexpr std::size_t kAutoBatchWindows = 8;
-
-std::size_t resolved_batch(const ImagingOptions& im) {
-  if (im.batch_windows == kBatchWindowsAuto) return kAutoBatchWindows;
-  return std::max<std::size_t>(im.batch_windows, 1);
-}
-
 /// Batching engages only for the SOCS engine (the Abbe reference never
 /// batches) and only without an active fault plan: injected faults are
 /// attributed to one (domain, index), which a joint batch computation
@@ -154,9 +143,17 @@ bool batching_enabled(const LithoSimulator& sim) {
          sim.imaging().mode == ImagingMode::kSocs && !fault::enabled();
 }
 
-/// Hot-loop chunk size: the batch width when batching, else today's 1.
-std::size_t loop_chunk(const LithoSimulator& sim) {
-  return batching_enabled(sim) ? resolved_batch(sim.imaging()) : 1;
+/// Hot-loop chunk size for `n` windows on `threads` (>= 1) threads: the
+/// batch width when batching, else 1.  kBatchWindowsAuto sizes the batch to
+/// the job — one lane tile (kTileLanes) at most, since wider batches buy
+/// almost nothing per window, and never so wide that a small job (a what-if
+/// re-extracting a handful of gates) lands in one chunk on one thread.
+std::size_t loop_chunk(const LithoSimulator& sim, std::size_t n,
+                       std::size_t threads) {
+  if (!batching_enabled(sim)) return 1;
+  const std::size_t batch = sim.imaging().batch_windows;
+  if (batch != kBatchWindowsAuto) return batch;
+  return std::clamp<std::size_t>((n + threads - 1) / threads, 1, kTileLanes);
 }
 
 /// OPC window cache key (see opc_window_impl) — factored out so the batch
@@ -1027,7 +1024,7 @@ void PostOpcFlow::run_opc_windows(
   // lockstep correct_batch, then the unchanged per-instance bodies consume
   // the parked, bit-identical results.  Best-effort: any staging failure
   // falls back to the scalar engine under the window's own fault scope.
-  const std::size_t chunk = loop_chunk(sim_);
+  const std::size_t chunk = loop_chunk(sim_, m, threads());
   const bool batching = batching_enabled(sim_);
   std::vector<std::unique_ptr<OpcResult>> staged(n);
   const auto stage_chunk = [&](std::size_t first) {
@@ -1305,7 +1302,7 @@ std::vector<GateExtraction> PostOpcFlow::extract_impl(
   // to consume.  Staged latents are bit-identical to scalar sim.latent
   // calls, and cache insertion still happens per index in chunk order, so
   // results, counters and insertion order match the unbatched loop exactly.
-  const std::size_t chunk = loop_chunk(sim);
+  const std::size_t chunk = loop_chunk(sim, gates.size(), threads());
   const bool batching = batching_enabled(sim);
   std::vector<std::unique_ptr<Image2D>> staged(gates.size());
   const auto stage_chunk = [&](std::size_t first) {
@@ -1691,13 +1688,16 @@ PostOpcFlow::HotspotReport PostOpcFlow::scan_hotspots(
   // Batched staging: per (window, corner) the scan consumes two latent
   // images — the silicon print and the OPC model's view (EPE probes).  The
   // worker owning a chunk images both through the SoA engine for every
-  // journal/cache-missing pair and parks them as OrcLatents; rasterization
-  // is sim-independent, so one raster per window feeds both batches.
-  // Corners cannot share a batch (defocus changes the TCC kernels), so
-  // batching runs across the chunk's windows within each corner.
-  const std::size_t chunk = loop_chunk(silicon_sim_);
+  // journal/cache-missing pair and reduces each pair to its OrcReport as
+  // soon as its batch returns, so only reports are parked: at most one
+  // shape group's latents are alive per worker, never the whole chunk's
+  // corners.  Rasterization is sim-independent, so one raster per window
+  // feeds both batches.  Corners cannot share a batch (defocus changes the
+  // TCC kernels), so batching runs across the chunk's windows within each
+  // corner.
+  const std::size_t chunk = loop_chunk(silicon_sim_, n, threads());
   const bool batching = batching_enabled(silicon_sim_);
-  std::vector<std::vector<std::unique_ptr<OrcLatents>>> staged(n);
+  std::vector<std::vector<std::unique_ptr<OrcReport>>> staged(n);
 
   // Per-window ORC across all corners; partial reports land in per-window
   // slots and merge in instance order, so violation order and counts match
@@ -1752,18 +1752,16 @@ PostOpcFlow::HotspotReport PostOpcFlow::scan_hotspots(
         }
       }
       if (!cached) {
-        // Staged latents come from the batched pass at nominal settings;
+        // Staged reports come from the batched pass at nominal settings;
         // retries (use_cache false) never consume them.
-        std::unique_ptr<OrcLatents> mine;
+        std::unique_ptr<OrcReport> mine;
         if (use_cache && staged[i].size() == conditions.size()) {
           mine = std::move(staged[i][c]);
         }
-        orc = mine != nullptr
-                  ? run_orc_staged(silicon_sim_, engine, targets, window,
-                                   *mine, orc_options)
-                  : run_orc(silicon_sim_, engine, targets,
-                            mask_for_instance(i), window, exposure,
-                            orc_options);
+        orc = mine != nullptr ? std::move(*mine)
+                              : run_orc(silicon_sim_, engine, targets,
+                                        mask_for_instance(i), window,
+                                        exposure, orc_options);
         if (cache_window) {
           auto entry = std::make_shared<WindowCaches::OrcEntry>();
           entry->report = orc;
@@ -1794,6 +1792,7 @@ PostOpcFlow::HotspotReport PostOpcFlow::scan_hotspots(
     struct Win {
       std::size_t i = 0;
       Rect window;
+      std::vector<Polygon> targets;
       Image2D raster;
       FpHasher base;  ///< corner-invariant key prefix; forked per corner
       bool has_base = false;
@@ -1809,12 +1808,13 @@ PostOpcFlow::HotspotReport PostOpcFlow::scan_hotspots(
       const Rect window =
           inst.transform.apply(design_->layout.cell(inst.cell).boundary)
               .inflated(options_.ambit_nm);
-      const std::vector<Polygon> targets =
+      std::vector<Polygon> targets =
           design_->layout.flatten_layer_polys(window, Layer::kPoly);
       if (targets.empty()) continue;
       Win w;
       w.i = i;
       w.window = window;
+      w.targets = std::move(targets);
       if (caches_ != nullptr) {
         // Mirrors the key scan_window builds, so peeks hit iff find will.
         w.base.str("orc");
@@ -1823,7 +1823,7 @@ PostOpcFlow::HotspotReport PostOpcFlow::scan_hotspots(
         hash_opc_options(w.base, options_.opc);
         hash_orc_options(w.base, orc_options);
         w.base.i64(window.width()).i64(window.height());
-        w.base.polys(targets, Point{window.xlo, window.ylo});
+        w.base.polys(w.targets, Point{window.xlo, window.ylo});
         w.base.rects(mask_for_instance(i), Point{window.xlo, window.ylo});
         w.has_base = true;
       }
@@ -1872,9 +1872,12 @@ PostOpcFlow::HotspotReport PostOpcFlow::scan_hotspots(
           std::vector<Image2D> model = sim_.latent_batch(
               ptrs.data(), ptrs.size(), exposure, orc_options.quality, arena);
           for (std::size_t s = 0; s < shape.size(); ++s) {
-            staged[wins[members[shape[s]]].i][c] =
-                std::make_unique<OrcLatents>(OrcLatents{
-                    std::move(silicon[s]), std::move(model[s])});
+            const Win& w = wins[members[shape[s]]];
+            const OrcLatents latents{std::move(silicon[s]),
+                                     std::move(model[s])};
+            staged[w.i][c] = std::make_unique<OrcReport>(run_orc_staged(
+                silicon_sim_, engine, w.targets, w.window, latents,
+                orc_options));
           }
         }
       }

@@ -140,10 +140,11 @@ struct FlowOptions {
   CdExtractOptions cdx;
   LithoQuality extract_quality = LithoQuality::kStandard;
   /// Imaging engine for BOTH flow simulators (the OPC model and the silicon
-  /// extraction): kAbbe (reference, the default) or kSocs (fast TCC-kernel
-  /// path) plus the SOCS truncation knobs.  Applied at construction; the
-  /// per-phase OpcImaging knobs in `opc` can still override the engine for
-  /// OPC draft/sign-off iterations.  Hashed into every window fingerprint.
+  /// extraction): kSocs (fast TCC-kernel path, the default — exact, with
+  /// job-sized batching) or kAbbe (the reference oracle) plus the SOCS
+  /// truncation knobs.  Applied at construction; the per-phase OpcImaging
+  /// knobs in `opc` can still override the engine for OPC draft/sign-off
+  /// iterations.  Hashed into every window fingerprint.
   ImagingOptions imaging;
   DbUnit ambit_nm = 600;        ///< optical context around each instance
   StaOptions sta;
@@ -162,8 +163,8 @@ struct FlowOptions {
   /// may resume at any thread count.  See "Durable runs & resume" in
   /// DESIGN.md.
   JournalOptions journal;
-  /// Cooperative cancellation token polled by the hot loops at chunk
-  /// boundaries.  Null routes to global_cancel_token() — the one the
+  /// Cooperative cancellation token polled by the hot loops before every
+  /// window.  Null routes to global_cancel_token() — the one the
   /// SIGINT/SIGTERM bridge (ScopedGracefulShutdown) trips.  On
   /// cancellation, in-flight windows drain and are journaled, the journal
   /// is flushed, and the loop raises FlowException(kCancelled).

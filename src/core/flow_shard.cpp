@@ -74,8 +74,9 @@ std::uint64_t stats_file_size(const std::string& work_dir,
 
 /// One in-process worker attempt-chain for the supervision loop.  "kill"
 /// is a cooperative cancel (threads cannot be SIGKILLed): the stall loop
-/// and the flow's chunk boundaries poll the per-attempt token, so a
-/// killed attempt drains, seals its journal, and reports a failed exit.
+/// and the flow's window loops (before every window) poll the per-attempt
+/// token, so a killed attempt drains, seals its journal, and reports a
+/// failed exit.
 struct InprocTask {
   ShardSpec spec;
   std::unique_ptr<CancelToken> token;
@@ -207,7 +208,7 @@ bool run_shard_worker(const PlacedDesign& design, const StdCellLibrary& lib,
         // would be recorded as a window fault and poison the bit-identity
         // contract.  The in-process supervisor "kills" via the cancel
         // token — we return normally and the pool raises
-        // FlowException(kCancelled) at the next chunk boundary, the
+        // FlowException(kCancelled) before the next window, the
         // sanctioned drain path.  A forked worker spins until SIGKILL.
         for (;;) {
           if (cancel != nullptr && cancel->cancelled()) return;

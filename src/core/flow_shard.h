@@ -62,8 +62,8 @@ struct ShardWorkerOptions {
   /// every attempt, forcing the retries-exhausted path.
   bool stall_once = true;
   /// Cancellation for the in-process worker mode: the stall loop and the
-  /// flow's chunk boundaries poll it, so a supervisor "kill" is a prompt
-  /// cooperative cancel.  Null = the flow's global token.
+  /// flow's window loops (before every window) poll it, so a supervisor
+  /// "kill" is a prompt cooperative cancel.  Null = the flow's global token.
   const CancelToken* cancel = nullptr;
 };
 

@@ -464,15 +464,15 @@ void aerial_image_blurred_socs_batch(const Image2D* const* masks,
   const std::size_t kxu = static_cast<std::size_t>(cx < 0 ? 0 : cx);
   const std::size_t nbu = 2 * kxu + 1;
 
-  // The batch runs in fixed-width lane tiles: kTileLanes doubles is one
-  // AVX2 vector, so every inner lane loop fills a SIMD register, while the
-  // per-tile working set (field + intensity + the touched band rows of the
-  // tile spectrum, ~1.6 MiB at fine quality) stays cache-resident the way
-  // the scalar path's per-window buffers do — full-batch-wide buffers
-  // would stream through L2 on every butterfly stage instead.  Tiling only
+  // The batch runs in fixed-width lane tiles: kTileLanes (imaging.h)
+  // doubles is one AVX2 vector, so every inner lane loop fills a SIMD
+  // register, while the per-tile working set (field + intensity + the
+  // touched band rows of the tile spectrum, ~1.6 MiB at fine quality) stays
+  // cache-resident the way the scalar path's per-window buffers do —
+  // full-batch-wide buffers would stream through L2 on every butterfly
+  // stage instead.  Tiling only
   // partitions the independent lane dimension, so results stay
   // bit-identical for every tile width.
-  constexpr std::size_t kTileLanes = 4;
   for (std::size_t w0 = 0; w0 < lanes; w0 += kTileLanes) {
     const std::size_t nw = std::min(kTileLanes, lanes - w0);
 
@@ -612,8 +612,11 @@ void aerial_image_blurred_socs_batch(const Image2D* const* masks,
 Image2D aerial_image_blurred(const Image2D& mask, const OpticalSettings& opt,
                              double defocus_nm, double blur_sigma_nm,
                              const std::vector<SourcePoint>& source) {
+  // The mode-less overloads are the Abbe reference, whatever the default.
+  ImagingOptions abbe;
+  abbe.mode = ImagingMode::kAbbe;
   return aerial_image_blurred(mask, opt, defocus_nm, blur_sigma_nm, source,
-                              ImagingOptions{});
+                              abbe);
 }
 
 Image2D aerial_image_blurred(const Image2D& mask, const OpticalSettings& opt,

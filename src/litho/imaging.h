@@ -1,21 +1,23 @@
 // Partially-coherent aerial image formation, two interchangeable paths:
 //
-//  - Abbe (source-point summation, the reference path): for each discrete
-//    source point the mask spectrum is filtered by the defocused pupil
-//    shifted to that illumination angle and inverse-transformed;
+//  - Abbe (source-point summation, the reference/oracle path): for each
+//    discrete source point the mask spectrum is filtered by the defocused
+//    pupil shifted to that illumination angle and inverse-transformed;
 //    intensities accumulate with the source weights.  This retains true
 //    partial coherence (iso/dense bias, line-end pullback, forbidden
 //    pitches) that a single-kernel convolution model cannot reproduce —
 //    see DESIGN.md ablation 1.
 //
-//  - SOCS (sum of coherent systems, the fast path): the Hopkins TCC built
-//    from the same source and pupil is eigendecomposed once per (optics,
-//    source, defocus, spectral layout) into K orthonormal coherent kernels
-//    (src/litho/tcc.h); each window is then imaged as an index-ordered sum
-//    of lambda_k |kernel_k * mask|^2 with K << S transforms, plus packed
-//    real-input/real-output band transforms the reference path cannot use
-//    (it must stay bit-identical to the goldens).  See DESIGN.md ablation 8
-//    for the K vs CD-error vs speed trade.
+//  - SOCS (sum of coherent systems, the default fast path): the Hopkins
+//    TCC built from the same source and pupil is eigendecomposed once per
+//    (optics, source, defocus, spectral layout) into K orthonormal
+//    coherent kernels (src/litho/tcc.h); each window is then imaged as an
+//    index-ordered sum of lambda_k |kernel_k * mask|^2 with K << S
+//    transforms, plus packed real-input/real-output band transforms the
+//    reference path cannot use (it must stay bit-identical to the Abbe
+//    goldens).  The default SocsOptions keep every non-negligible kernel,
+//    so default SOCS is numerically exchangeable with Abbe.  See DESIGN.md
+//    ablation 8 for the K vs CD-error vs speed trade.
 #pragma once
 
 #include <cstdint>
@@ -29,23 +31,29 @@ namespace poc {
 
 /// Which imaging engine synthesizes the aerial image.
 enum class ImagingMode : std::uint8_t {
-  kAbbe,  ///< Source-point summation; the reference/golden path.
-  kSocs,  ///< Truncated coherent-kernel summation; the fast path.
+  kAbbe,  ///< Source-point summation; the reference/oracle path.
+  kSocs,  ///< Coherent-kernel summation; the default fast path.
 };
 
-/// batch_windows value meaning "follow the parallel chunk size" (the flow
-/// hands each worker chunk to the batched engine whole).
+/// Lane-tile width of the batched SOCS engine: kTileLanes doubles fill one
+/// AVX2 vector.  The batched chain runs any batch in tiles of this width.
+inline constexpr std::size_t kTileLanes = 4;
+
+/// batch_windows value meaning "size the batch to the job": the flow hot
+/// loops resolve it per loop to min(kTileLanes, ceil(windows / threads)),
+/// which is also the loop's parallel chunk (each worker chunk goes to the
+/// batched engine whole), so small jobs still spread over every thread.
 inline constexpr std::size_t kBatchWindowsAuto = static_cast<std::size_t>(-1);
 
 /// Imaging engine selection plus the SOCS truncation knobs (ignored under
 /// kAbbe).  Part of every window fingerprint downstream: Abbe and SOCS
 /// results, or SOCS results at different kernel budgets, never alias.
 struct ImagingOptions {
-  ImagingMode mode = ImagingMode::kAbbe;
+  ImagingMode mode = ImagingMode::kSocs;
   SocsOptions socs;
   /// Windows per SoA batch in the flow hot loops (SOCS windows only; the
   /// Abbe reference path never batches).  0 disables batching entirely;
-  /// kBatchWindowsAuto follows the parallel chunk size.  Purely a
+  /// kBatchWindowsAuto sizes the batch to the loop (see above).  Purely a
   /// performance knob: every batch size produces bit-identical results, so
   /// this field is deliberately EXCLUDED from cache and journal
   /// fingerprints (flow.cpp hash_imaging; enforced by test).
@@ -53,8 +61,10 @@ struct ImagingOptions {
 };
 
 /// Computes aerial intensity on the same grid as `mask` (transmission in
-/// [0,1]).  An all-clear mask yields intensity 1.0 everywhere (dose applied
-/// later by the resist model).  The grid dimensions must be powers of two
+/// [0,1]) with the Abbe reference engine — every overload without an
+/// ImagingOptions argument is Abbe, whatever ImagingOptions defaults to.
+/// An all-clear mask yields intensity 1.0 everywhere (dose applied later by
+/// the resist model).  The grid dimensions must be powers of two
 /// (rasterize_mask guarantees this).
 ///
 /// Implementation note: per-source-point (or per-kernel) coherent fields

@@ -7,6 +7,29 @@
 
 namespace poc {
 
+PupilTables build_pupil_tables(const OpticalSettings& opt,
+                               const std::vector<SourcePoint>& source,
+                               double defocus_nm, const SpectralGrid& grid) {
+  const double tilt_scale = opt.na / opt.wavelength_nm;
+  PupilTables built;
+  built.tables.reserve(source.size());
+  for (const SourcePoint& sp : source) {
+    const double fsx = sp.sx * tilt_scale;
+    const double fsy = sp.sy * tilt_scale;
+    std::vector<Cplx> table(grid.size());
+    std::size_t idx = 0;
+    for (long long ky = -grid.ky_max; ky <= grid.ky_max; ++ky) {
+      const double fy = static_cast<double>(ky) * grid.dfy;
+      for (long long kx = -grid.kx_max; kx <= grid.kx_max; ++kx) {
+        const double fx = static_cast<double>(kx) * grid.dfx;
+        table[idx++] = pupil_value(opt, fx + fsx, fy + fsy, defocus_nm);
+      }
+    }
+    built.tables.push_back(std::move(table));
+  }
+  return built;
+}
+
 std::shared_ptr<const PupilTables> pupil_tables(
     const OpticalSettings& opt, const std::vector<SourcePoint>& source,
     double defocus_nm, const SpectralGrid& grid) {
@@ -32,23 +55,8 @@ std::shared_ptr<const PupilTables> pupil_tables(
 
   if (auto hit = cache.find(fp)) return hit;
 
-  const double tilt_scale = opt.na / opt.wavelength_nm;
-  auto built = std::make_shared<PupilTables>();
-  built->tables.reserve(source.size());
-  for (const SourcePoint& sp : source) {
-    const double fsx = sp.sx * tilt_scale;
-    const double fsy = sp.sy * tilt_scale;
-    std::vector<Cplx> table(grid.size());
-    std::size_t idx = 0;
-    for (long long ky = -grid.ky_max; ky <= grid.ky_max; ++ky) {
-      const double fy = static_cast<double>(ky) * grid.dfy;
-      for (long long kx = -grid.kx_max; kx <= grid.kx_max; ++kx) {
-        const double fx = static_cast<double>(kx) * grid.dfx;
-        table[idx++] = pupil_value(opt, fx + fsx, fy + fsy, defocus_nm);
-      }
-    }
-    built->tables.push_back(std::move(table));
-  }
+  auto built = std::make_shared<PupilTables>(
+      build_pupil_tables(opt, source, defocus_nm, grid));
   cache.insert(fp, built,
                source.size() * grid.size() * sizeof(Cplx) +
                    sizeof(PupilTables));

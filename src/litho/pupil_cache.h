@@ -1,9 +1,10 @@
-// Process-wide memoized pupil tables over the cropped spectral grid.
-// Shared by the Abbe imaging loop (per-source-point filters) and the TCC
-// builder in src/litho/tcc.h (which assembles the Hopkins operator from the
-// same tables).  Every window of the same pixel size and padded dimensions
-// shares one spectral layout, so across a full-chip run the (optics, source,
-// defocus) combinations collapse to a handful of tables.
+// Pupil tables over the cropped spectral grid.  The Abbe imaging loop
+// (per-source-point filters) reads them through the process-wide memo; the
+// SOCS kernel build in src/litho/tcc.h (which assembles the Hopkins
+// operator from the same tables) builds them transiently, since only its
+// kernels are reused.  Every window of the same pixel size and padded
+// dimensions shares one spectral layout, so across a full-chip run the
+// (optics, source, defocus) combinations collapse to a handful of tables.
 #pragma once
 
 #include <cstddef>
@@ -41,6 +42,14 @@ struct SpectralGrid {
 struct PupilTables {
   std::vector<std::vector<Cplx>> tables;
 };
+
+/// Unmemoized builder: the tables for one (optics, source, defocus, grid),
+/// owned by the caller.  The SOCS kernel build uses it directly — its
+/// kernels are memoized in their own cache, so parking the tables in the
+/// pupil memo as well would store every defocus twice.
+PupilTables build_pupil_tables(const OpticalSettings& opt,
+                               const std::vector<SourcePoint>& source,
+                               double defocus_nm, const SpectralGrid& grid);
 
 /// Memoized builder.  Keyed on the optics fields the pupil reads, defocus,
 /// the spectral layout, and the full source discretization including

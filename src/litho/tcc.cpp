@@ -100,8 +100,7 @@ std::shared_ptr<const SocsKernels> socs_kernels(
     double defocus_nm, const SpectralGrid& grid, const SocsOptions& socs) {
   POC_EXPECTS(!source.empty());
   POC_EXPECTS(socs.max_kernels > 0);
-  // A few dozen (layout, defocus) combinations of K kernels each; far
-  // smaller than the pupil-table cache it derives from.
+  // A few dozen (layout, defocus) combinations of K kernels each.
   static ShardedCache<SocsKernels> cache(64ull << 20, /*shards=*/8);
 
   FpHasher h;
@@ -123,8 +122,10 @@ std::shared_ptr<const SocsKernels> socs_kernels(
 
   if (auto hit = cache.find(fp)) return hit;
 
-  const std::shared_ptr<const PupilTables> pupils =
-      pupil_tables(opt, source, defocus_nm, grid);
+  // Transient tables: under SOCS the kernel build is their only user, and
+  // the kernels below are memoized, so the tables die with this call
+  // instead of doubling every defocus in the process-wide pupil memo.
+  const PupilTables pupils = build_pupil_tables(opt, source, defocus_nm, grid);
   const std::size_t n = grid.size();
   const std::size_t ns = source.size();
 
@@ -136,9 +137,9 @@ std::shared_ptr<const SocsKernels> socs_kernels(
   for (std::size_t s = 0; s < ns; ++s) sqw[s] = std::sqrt(source[s].weight);
   std::vector<Cplx> gram(ns * ns, Cplx(0.0, 0.0));
   for (std::size_t s = 0; s < ns; ++s) {
-    const std::vector<Cplx>& ps = pupils->tables[s];
+    const std::vector<Cplx>& ps = pupils.tables[s];
     for (std::size_t t = s; t < ns; ++t) {
-      const std::vector<Cplx>& pt = pupils->tables[t];
+      const std::vector<Cplx>& pt = pupils.tables[t];
       Cplx acc(0.0, 0.0);
       for (std::size_t i = 0; i < n; ++i) acc += std::conj(ps[i]) * pt[i];
       acc *= sqw[s] * sqw[t];
@@ -161,7 +162,7 @@ std::shared_ptr<const SocsKernels> socs_kernels(
 
   const std::vector<std::size_t> sigma = parity_pairing(source);
   const bool parity_ok =
-      !sigma.empty() && tables_parity_exact(*pupils, grid, sigma);
+      !sigma.empty() && tables_parity_exact(pupils, grid, sigma);
 
   if (parity_ok) {
     // The TCC commutes with parity (real pupils over a symmetric source),
@@ -248,7 +249,7 @@ std::shared_ptr<const SocsKernels> socs_kernels(
     for (std::size_t s = 0; s < ns; ++s) {
       const Cplx coef = lift_coefs[k][s] * (sqw[s] * inv_sq);
       if (coef == Cplx(0.0, 0.0)) continue;
-      const std::vector<Cplx>& ps = pupils->tables[s];
+      const std::vector<Cplx>& ps = pupils.tables[s];
       for (std::size_t i = 0; i < n; ++i) phi[i] += coef * ps[i];
     }
     built->weights.push_back(lambda);

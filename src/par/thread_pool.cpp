@@ -13,7 +13,7 @@ thread_local bool t_on_worker_thread = false;
 [[noreturn]] void throw_cancelled() {
   throw FlowException(FlowError{FaultCode::kCancelled, kNoWindowId,
                                 "par.cancel",
-                                "cancelled at chunk boundary"});
+                                "cancelled at item boundary"});
 }
 
 }  // namespace
@@ -68,10 +68,6 @@ void ThreadPool::run_chunks(Batch& batch, std::size_t home_queue) {
   const std::size_t num_queues = batch.queues.size();
   std::size_t completed = 0;
   while (true) {
-    // Cancellation is honoured at chunk boundaries only: chunks already
-    // running elsewhere drain normally; chunks claimed from here on are
-    // discarded (still counted, so the batch terminates promptly).
-    const bool cancelled = batch.cancel != nullptr && batch.cancel->cancelled();
     std::size_t chunk_index = batch.num_chunks;  // sentinel: none found
     // Own queue first (front), then steal from the back of the others.
     for (std::size_t probe = 0; probe < num_queues; ++probe) {
@@ -89,16 +85,21 @@ void ThreadPool::run_chunks(Batch& batch, std::size_t home_queue) {
       break;
     }
     if (chunk_index == batch.num_chunks) break;  // nothing left to claim
-    if (cancelled) {
-      batch.chunks_skipped.fetch_add(1, std::memory_order_relaxed);
-      ++completed;
-      continue;
-    }
 
+    // Cancellation is polled before every item: the item running when the
+    // token is set finishes; every later item — the rest of its chunk and
+    // every chunk claimed from here on — is skipped (skipped chunks are
+    // still counted, so the batch terminates promptly).
     const std::size_t first = chunk_index * batch.chunk;
     const std::size_t last = std::min(first + batch.chunk, batch.n);
     try {
-      for (std::size_t i = first; i < last; ++i) (*batch.fn)(i);
+      for (std::size_t i = first; i < last; ++i) {
+        if (batch.cancel != nullptr && batch.cancel->cancelled()) {
+          batch.chunks_skipped.fetch_add(1, std::memory_order_relaxed);
+          break;
+        }
+        (*batch.fn)(i);
+      }
     } catch (...) {
       std::lock_guard<std::mutex> lock(batch.error_mutex);
       if (!batch.error || chunk_index < batch.error_chunk) {
@@ -117,20 +118,15 @@ void ThreadPool::run_chunks(Batch& batch, std::size_t home_queue) {
 
 namespace {
 
-/// Serial loop with the same chunk-boundary cancellation contract as the
-/// pooled path: poll before each chunk, drain nothing (there is nothing in
+/// Serial loop with the same per-item cancellation contract as the pooled
+/// path: poll before each item, drain nothing (there is nothing in
 /// flight), throw kCancelled when items were left unrun.
-void serial_for_cancellable(std::size_t n, std::size_t chunk,
+void serial_for_cancellable(std::size_t n,
                             const std::function<void(std::size_t)>& fn,
                             const CancelToken* cancel) {
-  if (cancel == nullptr) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  for (std::size_t first = 0; first < n; first += chunk) {
-    if (cancel->cancelled()) throw_cancelled();
-    const std::size_t last = std::min(first + chunk, n);
-    for (std::size_t i = first; i < last; ++i) fn(i);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (cancel != nullptr && cancel->cancelled()) throw_cancelled();
+    fn(i);
   }
 }
 
@@ -148,7 +144,7 @@ void ThreadPool::parallel_for(std::size_t n, std::size_t chunk,
   participants = std::min(participants, num_chunks);
   if (participants <= 1) {
     // Serial fast path: same call sequence a 1-thread batch would make.
-    serial_for_cancellable(n, chunk, fn, cancel);
+    serial_for_cancellable(n, fn, cancel);
     return;
   }
 
@@ -208,7 +204,7 @@ void parallel_for(std::size_t threads, std::size_t n, std::size_t chunk,
   POC_EXPECTS(chunk >= 1);
   threads = resolve_threads(threads);
   if (threads <= 1 || n <= 1 || ThreadPool::on_worker_thread()) {
-    serial_for_cancellable(n, chunk, fn, cancel);
+    serial_for_cancellable(n, fn, cancel);
     return;
   }
   global_pool().parallel_for(n, chunk, fn, threads, cancel);

@@ -43,12 +43,15 @@
 namespace poc {
 
 /// Cooperative cancellation flag for the window loops.  Checked by
-/// parallel_for / try_parallel_for at chunk boundaries only: a set token
-/// stops new chunks from being claimed, every in-flight window finishes
-/// (so its result can still be journaled), and the loop then raises
-/// FlowException(kCancelled).  request_cancel() is a single relaxed atomic
-/// store — async-signal-safe, so a SIGINT/SIGTERM handler may call it
-/// directly (see ScopedGracefulShutdown in src/run/shutdown.h).
+/// parallel_for / try_parallel_for before every item, whatever the chunk
+/// width: a set token lets each in-flight window finish (so its result can
+/// still be journaled), skips every later item — the rest of the in-flight
+/// chunks included — and the loop then raises FlowException(kCancelled).
+/// A batching hot loop therefore stops within one window of cancellation,
+/// even though its worker staged the whole chunk up front.
+/// request_cancel() is a single relaxed atomic store — async-signal-safe,
+/// so a SIGINT/SIGTERM handler may call it directly (see
+/// ScopedGracefulShutdown in src/run/shutdown.h).
 class CancelToken {
  public:
   void request_cancel() noexcept {
@@ -88,11 +91,11 @@ class ThreadPool {
   /// throws, the remaining items of that chunk are skipped, every other
   /// chunk still runs, and the exception from the lowest-indexed throwing
   /// chunk is rethrown on the caller — deterministically, whatever the
-  /// thread count.  A non-null `cancel` token is polled before each chunk
-  /// claim: once set, unclaimed chunks are abandoned (in-flight chunks
+  /// thread count.  A non-null `cancel` token is polled before each item:
+  /// once set, every item not yet started is abandoned (in-flight items
   /// finish) and FlowException(kCancelled) is thrown after the drain, but
-  /// only if work was actually skipped — a token set after the last chunk
-  /// completed changes nothing.
+  /// only if work was actually skipped — a token set during the last item
+  /// changes nothing.
   void parallel_for(std::size_t n, std::size_t chunk,
                     const std::function<void(std::size_t)>& fn,
                     std::size_t max_threads = 0,
@@ -129,8 +132,9 @@ class ThreadPool {
     std::exception_ptr error;
     std::size_t error_chunk = 0;
 
-    /// Cooperative cancellation: polled before each chunk claim; a claimed
-    /// chunk after cancellation is discarded, not run.
+    /// Cooperative cancellation: polled before each item; a chunk claimed
+    /// after cancellation is discarded, a running chunk stops at its next
+    /// item.  Counts chunks with at least one skipped item.
     const CancelToken* cancel = nullptr;
     std::atomic<std::size_t> chunks_skipped{0};
   };
@@ -181,8 +185,8 @@ ThreadPool& global_pool();
 /// from inside a pool worker (nested submission) runs serially inline on
 /// the caller — bit-identical by construction, and deadlock-free under
 /// nesting.  `chunk` must be >= 1.  A non-null `cancel` token makes the
-/// loop cooperative: it is checked at chunk boundaries (in the serial path
-/// too), in-flight chunks drain, and FlowException(kCancelled) is thrown
+/// loop cooperative: it is checked before every item (in the serial path
+/// too), in-flight items drain, and FlowException(kCancelled) is thrown
 /// when any item was left unrun.
 void parallel_for(std::size_t threads, std::size_t n, std::size_t chunk,
                   const std::function<void(std::size_t)>& fn,

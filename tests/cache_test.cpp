@@ -247,6 +247,15 @@ TEST(ShardedCacheDisk, PeekPromotesFromDiskWithoutCounters) {
   const CacheCounters c = cache.counters();
   EXPECT_EQ(c.hits + c.disk_hits + c.misses, 0u)
       << "peek must not perturb lookup counters";
+
+  // The finds that follow count exactly what they would without the peek:
+  // the first is the disk hit, the second a memory hit.
+  ASSERT_NE(cache.find(key(9)), nullptr);
+  ASSERT_NE(cache.find(key(9)), nullptr);
+  const CacheCounters after = cache.counters();
+  EXPECT_EQ(after.disk_hits, 1u);
+  EXPECT_EQ(after.hits, 1u);
+  EXPECT_EQ(after.misses, 0u);
 }
 
 TEST(ShardedCacheDisk, CounterIdentityIsExactUnderConcurrentLookups) {
@@ -550,6 +559,50 @@ TEST(CacheFlowBatch, BatchOfMissesKeepsCacheObservablesIdentical) {
                        batched->cache_counters().opc, "opc");
   expect_same_counters(scalar->cache_counters().latent,
                        batched->cache_counters().latent, "latent");
+}
+
+TEST(CacheFlowBatch, StagedScanReportsKeepOrcCacheObservablesIdentical) {
+  // The scan's counterpart: staging peeks the ORC cache, batch-images the
+  // missing (window, corner) pairs and parks only their reduced reports;
+  // the per-index find + insert stay authoritative.  A cold scan and a
+  // warm rescan must leave every ORC counter exactly where the unstaged
+  // loop leaves it, at one thread and at the default auto width.
+  PlacedDesign design = place_and_route(make_c17(), lib());
+  OrcOptions orc;
+  orc.epe_limit_nm = 6.0;
+  const std::vector<ProcessCorner> corners{{"nominal", {0.0, 1.0}},
+                                           {"stress", {150.0, 1.08}}};
+  const auto run = [&](std::size_t batch) {
+    FlowOptions opts = flow_options(1, /*cache=*/true);
+    opts.imaging.batch_windows = batch;
+    auto flow =
+        std::make_unique<PostOpcFlow>(design, lib(), LithoSimulator{}, opts);
+    flow->run_opc(OpcMode::kModelBased);
+    return flow;
+  };
+  const auto scalar = run(0);
+  const auto staged = run(kBatchWindowsAuto);
+  for (int pass = 0; pass < 2; ++pass) {
+    const auto a = scalar->scan_hotspots(corners, orc);
+    const auto b = staged->scan_hotspots(corners, orc);
+    EXPECT_EQ(a.windows_checked, b.windows_checked);
+    ASSERT_EQ(a.hotspots.size(), b.hotspots.size());
+    for (std::size_t h = 0; h < a.hotspots.size(); ++h) {
+      EXPECT_EQ(a.hotspots[h].instance, b.hotspots[h].instance);
+      EXPECT_EQ(a.hotspots[h].violation.where, b.hotspots[h].violation.where);
+      EXPECT_EQ(a.hotspots[h].violation.value_nm,
+                b.hotspots[h].violation.value_nm);
+    }
+    const CacheCounters ca = scalar->cache_counters().orc;
+    const CacheCounters cb = staged->cache_counters().orc;
+    EXPECT_EQ(ca.hits, cb.hits) << "pass " << pass;
+    EXPECT_EQ(ca.misses, cb.misses) << "pass " << pass;
+    EXPECT_EQ(ca.insertions, cb.insertions) << "pass " << pass;
+    EXPECT_EQ(ca.rejected, cb.rejected) << "pass " << pass;
+    EXPECT_EQ(ca.entries, cb.entries) << "pass " << pass;
+    EXPECT_EQ(ca.bytes, cb.bytes) << "pass " << pass;
+  }
+  EXPECT_GT(staged->cache_counters().orc.hits, 0u);
 }
 
 TEST(ShardedCache, PeekNeitherCountsNorTouchesLru) {

@@ -281,7 +281,105 @@ TEST(DeterminismBatch, HotspotScanBitIdenticalAcrossBatchWidths) {
   for (std::size_t h = 0; h < a.hotspots.size(); ++h) {
     EXPECT_EQ(a.hotspots[h].instance, b.hotspots[h].instance);
     EXPECT_EQ(a.hotspots[h].exposure_name, b.hotspots[h].exposure_name);
-    EXPECT_EQ(a.hotspots[h].violation.value_nm, b.hotspots[h].violation.value_nm);
+    EXPECT_EQ(a.hotspots[h].violation.value_nm,
+              b.hotspots[h].violation.value_nm);
+  }
+}
+
+TEST(DeterminismBatch, AutoWidthExtractSubsetsMatchUnbatched) {
+  // kBatchWindowsAuto sizes the batch to the job: min(kTileLanes,
+  // ceil(gates / threads)), which is also the loop's chunk.  Subsets that
+  // straddle every case — one gate, fewer gates than threads, exactly one
+  // lane tile, one past a tile, and several tiles — must reproduce the
+  // unbatched (batch_windows = 0) loop bit for bit at 1 and 4 threads.  The
+  // cache is off so every subset really stages and computes.
+  PlacedDesign design = place_and_route(make_benchmark("adder4"), lib());
+  const std::size_t num_gates = design.netlist.num_gates();
+  ASSERT_GE(num_gates, 9u);
+  const auto flow_for = [&](std::size_t batch, std::size_t threads) {
+    FlowOptions opts = options_with_threads(threads);
+    opts.imaging.batch_windows = batch;
+    opts.cache.enabled = false;
+    auto flow =
+        std::make_unique<PostOpcFlow>(design, lib(), LithoSimulator{}, opts);
+    flow->run_opc(OpcMode::kRuleBased);
+    return flow;
+  };
+  const auto unbatched = flow_for(0, 1);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const auto batched = flow_for(kBatchWindowsAuto, threads);
+    for (const std::size_t count : {1, 2, 3, 4, 5, 9}) {
+      // Strided, so a subset spans instances all over the placement.
+      std::vector<GateIdx> subset;
+      for (std::size_t k = 0; k < count; ++k) {
+        subset.push_back(static_cast<GateIdx>((k * 7 + count) % num_gates));
+      }
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " gates=" + std::to_string(count));
+      expect_same_extraction(unbatched->extract({}, subset),
+                             batched->extract({}, subset));
+      expect_same_extraction(unbatched->extract({120.0, 1.04}, subset),
+                             batched->extract({120.0, 1.04}, subset));
+    }
+  }
+}
+
+TEST(DeterminismBatch, ReportStagedScanMatchesUnstagedReportsAndCounters) {
+  // The batched scan reduces each staged (window, corner) to its OrcReport
+  // as soon as its batch returns.  Reports and the ORC cache's counters
+  // must match the unstaged loop (batch_windows = 0) at 1 and 4 threads,
+  // on a cold scan and on a second scan served from the cache.  Every
+  // (window, corner) key of c17 is distinct, so even the 4-thread
+  // counters do not depend on scheduling.
+  PlacedDesign design = place_and_route(make_c17(), lib());
+  OrcOptions orc;
+  orc.epe_limit_nm = 6.0;
+  const std::vector<ProcessCorner> corners{{"nominal", {0.0, 1.0}},
+                                           {"stress", {150.0, 1.08}}};
+  const auto expect_same_report = [](const PostOpcFlow::HotspotReport& a,
+                                     const PostOpcFlow::HotspotReport& b) {
+    EXPECT_EQ(a.windows_checked, b.windows_checked);
+    EXPECT_EQ(a.pinches, b.pinches);
+    EXPECT_EQ(a.bridges, b.bridges);
+    EXPECT_EQ(a.epe_violations, b.epe_violations);
+    ASSERT_EQ(a.hotspots.size(), b.hotspots.size());
+    for (std::size_t h = 0; h < a.hotspots.size(); ++h) {
+      EXPECT_EQ(a.hotspots[h].instance, b.hotspots[h].instance);
+      EXPECT_EQ(a.hotspots[h].exposure_name, b.hotspots[h].exposure_name);
+      EXPECT_EQ(a.hotspots[h].violation.kind, b.hotspots[h].violation.kind);
+      EXPECT_EQ(a.hotspots[h].violation.where, b.hotspots[h].violation.where);
+      EXPECT_EQ(a.hotspots[h].violation.value_nm,
+                b.hotspots[h].violation.value_nm);
+    }
+  };
+  const auto expect_same_counters = [](const CacheCounters& a,
+                                       const CacheCounters& b) {
+    EXPECT_EQ(a.hits, b.hits);
+    EXPECT_EQ(a.misses, b.misses);
+    EXPECT_EQ(a.insertions, b.insertions);
+    EXPECT_EQ(a.rejected, b.rejected);
+    EXPECT_EQ(a.entries, b.entries);
+    EXPECT_EQ(a.bytes, b.bytes);
+  };
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const auto flow_for = [&](std::size_t batch) {
+      FlowOptions opts = options_with_threads(threads);
+      opts.imaging.batch_windows = batch;
+      auto flow =
+          std::make_unique<PostOpcFlow>(design, lib(), LithoSimulator{}, opts);
+      flow->run_opc(OpcMode::kModelBased);
+      return flow;
+    };
+    const auto unstaged = flow_for(0);
+    const auto staged = flow_for(kBatchWindowsAuto);
+    for (int pass = 0; pass < 2; ++pass) {
+      SCOPED_TRACE("pass=" + std::to_string(pass));
+      expect_same_report(unstaged->scan_hotspots(corners, orc),
+                         staged->scan_hotspots(corners, orc));
+      expect_same_counters(unstaged->cache_counters().orc,
+                           staged->cache_counters().orc);
+    }
   }
 }
 
@@ -291,7 +389,8 @@ TEST(DeterminismBatch, AbbeReferencePathIgnoresBatchKnob) {
   PlacedDesign design = place_and_route(make_c17(), lib());
   const auto extract_with_batch = [&](std::size_t batch) {
     FlowOptions opts = options_with_threads(4);
-    opts.imaging.batch_windows = batch;  // mode stays kAbbe
+    opts.imaging.mode = ImagingMode::kAbbe;
+    opts.imaging.batch_windows = batch;
     PostOpcFlow flow(design, lib(), LithoSimulator{}, opts);
     flow.run_opc(OpcMode::kRuleBased);
     return flow.extract({}, std::vector<GateIdx>{0, 1, 2});

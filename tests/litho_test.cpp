@@ -305,9 +305,12 @@ TEST(Resist, LatentScalesWithDose) {
 
 // ---------- behavioural anchors the flow relies on ----------
 
+// Pinned to the Abbe reference engine (SOCS, the default, is held to Abbe
+// by socs_test).
 class LithoBehaviour : public ::testing::Test {
  protected:
-  LithoSimulator sim_;
+  LithoSimulator sim_{OpticalSettings{}, ResistModel{},
+                      ImagingOptions{ImagingMode::kAbbe, SocsOptions{}, 0}};
   const Rect window_{-700, -600, 790, 600};
   double th() const { return sim_.print_threshold(); }
 };

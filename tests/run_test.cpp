@@ -340,7 +340,7 @@ TEST(RunJournal, FsyncBatchingHonoursFlushInterval) {
 // ---------------------------------------------------------------------------
 // Cooperative cancellation in src/par
 
-TEST(CancelToken, SerialLoopStopsAtChunkBoundary) {
+TEST(CancelToken, SerialLoopStopsAtItemBoundary) {
   CancelToken token;
   std::vector<char> ran(12, 0);
   try {
@@ -354,11 +354,45 @@ TEST(CancelToken, SerialLoopStopsAtChunkBoundary) {
   } catch (const FlowException& e) {
     EXPECT_EQ(e.error().code, FaultCode::kCancelled);
   }
-  // The chunk in flight ([3,6)) finishes; later chunks never start.
+  // The item in flight (4) finishes; the rest of its chunk ([3,6)) and
+  // every later chunk never start.
+  EXPECT_EQ(ran[3], 1);
   EXPECT_EQ(ran[4], 1);
-  EXPECT_EQ(ran[5], 1);
+  EXPECT_EQ(ran[5], 0);
   EXPECT_EQ(ran[6], 0);
   EXPECT_EQ(ran[11], 0);
+}
+
+TEST(CancelToken, ParallelLoopStopsWithinOneItemOfWideChunks) {
+  // One chunk per thread, each as wide as a whole batch: a token tripped
+  // by the first item of chunk 0 must stop every chunk at its next item,
+  // not after the chunk drains.
+  CancelToken token;
+  std::vector<std::atomic<int>> ran(64);
+  std::atomic<bool> tripped{false};
+  try {
+    parallel_for(4, 64, /*chunk=*/16,
+                 [&](std::size_t i) {
+                   ran[i].store(1);
+                   if (i == 0) {
+                     token.request_cancel();
+                     tripped.store(true);
+                   }
+                   // Later items wait for the trip, so none can slip past.
+                   while (!tripped.load()) std::this_thread::yield();
+                 },
+                 &token);
+    FAIL() << "expected FlowException(kCancelled)";
+  } catch (const FlowException& e) {
+    EXPECT_EQ(e.error().code, FaultCode::kCancelled);
+  }
+  // Each chunk runs at most the one item that was in flight at the trip.
+  for (std::size_t c = 0; c < 4; ++c) {
+    int chunk_ran = 0;
+    for (std::size_t i = c * 16; i < (c + 1) * 16; ++i) chunk_ran += ran[i];
+    EXPECT_LE(chunk_ran, 1) << "chunk " << c;
+  }
+  EXPECT_EQ(ran[0].load(), 1);
 }
 
 TEST(CancelToken, ParallelLoopDrainsInFlightAndThrowsCancelled) {
@@ -392,8 +426,8 @@ TEST(CancelToken, UnsetTokenChangesNothing) {
 
 TEST(CancelToken, SetAfterLastChunkDoesNotThrow) {
   CancelToken token;
-  // Serial loop: the token trips inside the final chunk, after which no
-  // further chunk boundary is crossed — nothing was skipped, no throw.
+  // Serial loop: the token trips inside the final item, after which no
+  // item is left — nothing was skipped, no throw.
   std::size_t ran = 0;
   parallel_for(1, 8, /*chunk=*/4,
                [&](std::size_t i) {

@@ -31,6 +31,9 @@ SpectralGrid small_grid() {
   return SpectralGrid{1.0 / 2048.0, 1.0 / 2048.0, 10, 10};
 }
 
+/// The Abbe reference engine, named explicitly: SOCS is the default.
+constexpr ImagingOptions kAbbeImaging{ImagingMode::kAbbe, SocsOptions{}, 0};
+
 double max_abs(const std::vector<Cplx>& v) {
   double m = 0.0;
   for (const Cplx& c : v) m = std::max(m, std::abs(c));
@@ -264,7 +267,7 @@ TEST(SocsVsAbbe, CdWithinTenthNanometreAtNominal) {
   // The acceptance contract: max |CD_SOCS - CD_Abbe| <= 0.1 nm at nominal
   // exposure across dense-through-iso pitches, at the default kernel knobs
   // and the sign-off extraction quality.
-  const LithoSimulator abbe;
+  const LithoSimulator abbe(OpticalSettings{}, ResistModel{}, kAbbeImaging);
   LithoSimulator socs;
   socs.set_imaging({ImagingMode::kSocs, SocsOptions{}});
   const Rect window{-900, -700, 990, 700};
@@ -298,7 +301,7 @@ TEST(SocsVsAbbe, CdTracksUnderDefocusAndAberrations) {
     for (const bool with_aberrations : {false, true}) {
       const OpticalSettings opt =
           with_aberrations ? aberrated : OpticalSettings{};
-      const LithoSimulator abbe(opt, resist);
+      const LithoSimulator abbe(opt, resist, kAbbeImaging);
       const LithoSimulator socs(opt, resist,
                                 {ImagingMode::kSocs, SocsOptions{}});
       for (const SweepCase& c : sweep_cases()) {
@@ -330,7 +333,7 @@ TEST(SocsVsAbbe, AerialIntensityErrorBounded) {
   // image stays close to Abbe everywhere on the grid, at every quality.
   const Rect window{-900, -700, 990, 700};
   const std::vector<Rect> lines = line_array(90, 250, 7);
-  const LithoSimulator abbe;
+  const LithoSimulator abbe(OpticalSettings{}, ResistModel{}, kAbbeImaging);
   LithoSimulator socs;
   socs.set_imaging({ImagingMode::kSocs, SocsOptions{}});
   for (const LithoQuality q :
@@ -353,7 +356,7 @@ TEST(SocsVsAbbe, ExactWhenEveryKernelKept) {
   // exact" from "truncation is small".
   const Rect window{-900, -700, 990, 700};
   const std::vector<Rect> lines = line_array(90, 250, 5);
-  const LithoSimulator abbe;
+  const LithoSimulator abbe(OpticalSettings{}, ResistModel{}, kAbbeImaging);
   LithoSimulator socs;
   socs.set_imaging({ImagingMode::kSocs, SocsOptions{1024, 1.0}});
   const Image2D ref = abbe.aerial(lines, window, 0.0, LithoQuality::kStandard);
