@@ -30,18 +30,23 @@ echo "== step 3/5: TSan build + race tests (par_test, fault_test, run_test, cach
 cmake -B build-tsan -S . -DPOC_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" --target par_test fault_test run_test cache_test socs_test core_test sta_incremental_test determinism_test
 ./build-tsan/tests/par_test
-./build-tsan/tests/fault_test
+# Fault containment on the batched default path, FaultFlowBatch first: a
+# chunk's windows are computed together on one worker, one fault lane
+# each, so the lanes' result slots must be race-free as well as
+# bit-identical to width 1.
+./build-tsan/tests/fault_test --gtest_filter='FaultFlowBatch.*'
+./build-tsan/tests/fault_test --gtest_filter='-FaultFlowBatch.*'
 # Death tests fork; TSan dislikes forking multithreaded processes, and the
 # SIGKILL kill-resume path is already covered by step 2 and step 5.
 ./build-tsan/tests/run_test --gtest_filter='-*Killed*'
 ./build-tsan/tests/cache_test
 ./build-tsan/tests/socs_test
 ./build-tsan/tests/core_test
-# Batched-vs-scalar determinism at 1 and 4 threads: the chunk-staging
-# slots (per-worker ownership, no locks) must be race-free, and every
-# batch width must reproduce the scalar flow bit for bit — including the
-# job-sized auto width on small extract subsets and the report-staged
-# hotspot scan (same reports, same ORC cache counters).
+# Batched-vs-width-1 determinism at 1 and 4 threads: a chunk's windows
+# (one owning worker, no locks) must be race-free, and every batch width
+# must reproduce the width-1 flow bit for bit — including the job-sized
+# auto width on small extract subsets and the batched hotspot scan (same
+# reports, same ORC cache counters).
 ./build-tsan/tests/determinism_test --gtest_filter='DeterminismBatch*:DeterminismSocs*'
 # The incremental-STA equivalence fuzz harness: its 4-thread legs drive the
 # TimingGraph per-level parallel evaluation, so TSan checks the disjoint-

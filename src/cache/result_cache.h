@@ -7,7 +7,7 @@
 //
 // Concurrency model: the fingerprint space is split across independent
 // shards (key -> shard by fingerprint bits).  Lookups take a shard's
-// *shared* (reader) lock — the hot peek/find path on large shards no longer
+// *shared* (reader) lock — the hot find path on large shards no longer
 // serializes readers behind each other or behind writers on other keys —
 // while inserts and evictions take the exclusive lock.  Recency is a
 // per-entry atomic tick stamped from a cache-wide counter, so a shared-lock
@@ -120,31 +120,16 @@ class ShardedCache {
   /// Returns the cached value or null, refreshing LRU recency on a hit.
   /// The returned pointer stays valid after eviction (shared ownership).
   std::shared_ptr<const Value> find(const Fingerprint& fp) {
-    bool from_disk = false;
-    if (auto hit = find_in_memory(fp, /*refresh=*/true, &from_disk)) {
-      (from_disk ? disk_hits_ : hits_).fetch_add(1, std::memory_order_relaxed);
+    if (auto hit = find_in_memory(fp)) {
+      hits_.fetch_add(1, std::memory_order_relaxed);
       return hit;
     }
-    if (auto hit = load_from_disk(fp, /*by_peek=*/false)) {
+    if (auto hit = load_from_disk(fp)) {
       disk_hits_.fetch_add(1, std::memory_order_relaxed);
       return hit;
     }
     misses_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
-  }
-
-  /// find() without the bookkeeping: no hit/miss counters, no LRU recency
-  /// refresh.  The batched hot loops probe with peek() while assembling a
-  /// batch (deciding which windows still need computing) and leave the
-  /// authoritative find() to the per-window consumption path, so observable
-  /// cache statistics — and eviction order — match the unbatched loop
-  /// exactly.  With a disk tier attached, a memory miss still consults the
-  /// store (and promotes the entry) so staging skips windows another worker
-  /// already published; the first find() of an entry a peek promoted
-  /// counts as the disk hit the unbatched loop's find() would have made.
-  std::shared_ptr<const Value> peek(const Fingerprint& fp) {
-    if (auto hit = find_in_memory(fp, /*refresh=*/false, nullptr)) return hit;
-    return load_from_disk(fp, /*by_peek=*/true);
   }
 
   /// Inserts `value` with the given approximate byte cost, evicting LRU
@@ -165,7 +150,7 @@ class ShardedCache {
       const std::vector<std::uint8_t> bytes = encode_(*value);
       disk_->put(fp, bytes.data(), bytes.size());
     }
-    insert_in_memory(fp, std::move(value), cost_bytes, /*by_peek=*/false);
+    insert_in_memory(fp, std::move(value), cost_bytes);
   }
 
   CacheCounters counters() const {
@@ -186,18 +171,14 @@ class ShardedCache {
 
  private:
   struct Entry {
-    Entry(std::shared_ptr<const Value> v, std::size_t c, std::uint64_t t,
-          bool by_peek)
-        : value(std::move(v)), cost(c), tick(t), peeked_from_disk(by_peek) {}
+    Entry(std::shared_ptr<const Value> v, std::size_t c, std::uint64_t t)
+        : value(std::move(v)), cost(c), tick(t) {}
     std::shared_ptr<const Value> value;
     std::size_t cost = 0;
     /// Last-use stamp from clock_; atomic so a shared-lock hit can refresh
     /// recency while other readers scan.  unordered_map nodes are stable,
     /// so the atomic is never moved after construction.
     std::atomic<std::uint64_t> tick;
-    /// Promoted from disk by peek() and not yet found: the first find()
-    /// claims it and counts a disk hit.
-    std::atomic<bool> peeked_from_disk;
   };
 
   struct Shard {
@@ -214,41 +195,32 @@ class ShardedCache {
     return clock_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
 
-  /// A non-null `from_disk` claims a pending peek promotion: it is set
-  /// when this lookup is the entry's first find since peek() loaded it.
-  std::shared_ptr<const Value> find_in_memory(const Fingerprint& fp,
-                                              bool refresh, bool* from_disk) {
+  /// Memory-tier lookup; a hit refreshes the entry's LRU recency.
+  std::shared_ptr<const Value> find_in_memory(const Fingerprint& fp) {
     Shard& s = shard_of(fp);
     std::shared_lock<std::shared_mutex> lock(s.mutex);
     const auto it = s.map.find(fp);
     if (it == s.map.end()) return nullptr;
-    Entry& e = it->second;
-    if (refresh) e.tick.store(next_tick(), std::memory_order_relaxed);
-    if (from_disk != nullptr &&
-        e.peeked_from_disk.load(std::memory_order_relaxed)) {
-      *from_disk =
-          e.peeked_from_disk.exchange(false, std::memory_order_relaxed);
-    }
-    return e.value;
+    it->second.tick.store(next_tick(), std::memory_order_relaxed);
+    return it->second.value;
   }
 
   /// Probes the disk tier and promotes a present entry into memory (no
   /// write-back spill — it is already on disk).  Null on miss/corruption.
-  std::shared_ptr<const Value> load_from_disk(const Fingerprint& fp,
-                                              bool by_peek) {
+  std::shared_ptr<const Value> load_from_disk(const Fingerprint& fp) {
     if (!disk_) return nullptr;
     std::vector<std::uint8_t> bytes;
     if (!disk_->get(fp, &bytes)) return nullptr;
     std::shared_ptr<Value> value = decode_(bytes);
     if (value == nullptr) return nullptr;
     std::shared_ptr<const Value> shared = std::move(value);
-    insert_in_memory(fp, shared, bytes.size() + sizeof(Value), by_peek);
+    insert_in_memory(fp, shared, bytes.size() + sizeof(Value));
     return shared;
   }
 
   void insert_in_memory(const Fingerprint& fp,
                         std::shared_ptr<const Value> value,
-                        std::size_t cost_bytes, bool by_peek) {
+                        std::size_t cost_bytes) {
     const std::size_t cost = std::max<std::size_t>(cost_bytes, 1);
     if (cost > shard_capacity_) {
       rejected_.fetch_add(1, std::memory_order_relaxed);
@@ -258,8 +230,7 @@ class ShardedCache {
     std::lock_guard<std::shared_mutex> lock(s.mutex);
     if (s.map.contains(fp)) return;
     s.map.emplace(std::piecewise_construct, std::forward_as_tuple(fp),
-                  std::forward_as_tuple(std::move(value), cost, next_tick(),
-                                        by_peek));
+                  std::forward_as_tuple(std::move(value), cost, next_tick()));
     s.bytes += cost;
     insertions_.fetch_add(1, std::memory_order_relaxed);
     while (s.bytes > shard_capacity_) {

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <vector>
 
 namespace poc::fault {
@@ -100,6 +101,41 @@ class Scope {
   Domain prev_domain_;
   std::uint64_t prev_index_;
 };
+
+/// One lane of a batched computation over several windows.  Its work runs
+/// under Scope(domain, index) — or in the caller's scope when `domain` is
+/// kNone — and a throw from it is stored in *error instead of unwinding
+/// the batch, so one faulting window never aborts its batch-mates.  A null
+/// `error` makes the lane unmanaged: its work throws through.
+struct Lane {
+  Domain domain = Domain::kNone;
+  std::uint64_t index = 0;
+  std::exception_ptr* error = nullptr;
+};
+
+/// Runs f() as `lane`'s work (see Lane).  Returns false when the lane has
+/// failed, now or earlier — a failed lane's later work is skipped, so its
+/// probe sites fire exactly as often as they would running alone.
+template <typename F>
+bool run_lane(const Lane& lane, F&& f) {
+  if (lane.error == nullptr) {
+    f();
+    return true;
+  }
+  if (*lane.error) return false;
+  try {
+    if (lane.domain == Domain::kNone) {
+      f();
+    } else {
+      Scope scope(lane.domain, lane.index);
+      f();
+    }
+    return true;
+  } catch (...) {
+    *lane.error = std::current_exception();
+    return false;
+  }
+}
 
 /// Should this probe fault?  False when disabled, outside any Scope, or
 /// when the (kind, domain, index) triple is not selected by the plan.

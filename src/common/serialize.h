@@ -100,6 +100,18 @@ class ByteReader {
     return s;
   }
 
+  /// A u32 item count for items of at least `min_item_bytes` each.  A
+  /// count the bytes left cannot hold fails the reader and reads as 0, so
+  /// an untrusted count never sizes an allocation or a loop.
+  std::uint32_t count(std::size_t min_item_bytes) {
+    const std::uint32_t n = u32();
+    if (n > remaining() / min_item_bytes) {
+      ok_ = false;
+      return 0;
+    }
+    return n;
+  }
+
   std::size_t remaining() const { return size_ - pos_; }
   /// False once any read ran past the end; all later reads return zeros.
   bool ok() const { return ok_; }

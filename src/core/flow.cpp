@@ -13,6 +13,8 @@
 #include "src/common/fault.h"
 #include "src/common/log.h"
 #include "src/common/serialize.h"
+#include "src/core/window_codec.h"
+#include "src/core/window_loop.h"
 #include "src/geom/polygon_ops.h"
 #include "src/litho/batch.h"
 #include "src/opc/rule_opc.h"
@@ -107,40 +109,36 @@ void log_cache(const char* what, const CacheCounters& c) {
            c.evictions, " evictions");
 }
 
-// Retry-escalation helpers (see RecoveryOptions): sign-off quality instead
-// of the nominal setting, and the Abbe reference engine instead of SOCS.
+// Retry escalation (see RecoveryOptions): sign-off quality instead of the
+// nominal setting, and the Abbe reference engine instead of SOCS.
 
 // Escalated retries always jump to the sign-off quality tier.
 constexpr LithoQuality kEscalatedQuality = LithoQuality::kFine;
 
-LithoSimulator with_abbe(const LithoSimulator& sim) {
-  ImagingOptions im = sim.imaging();
-  im.mode = ImagingMode::kAbbe;
+/// The retry simulator: `sim` switched to Abbe when it runs SOCS and the
+/// policy asks for the reference fallback.
+LithoSimulator retry_simulator(const LithoSimulator& sim,
+                               const RecoveryOptions& rec) {
   LithoSimulator out = sim;
-  out.set_imaging(im);
+  if (rec.fallback_to_abbe && sim.imaging().mode == ImagingMode::kSocs) {
+    ImagingOptions im = sim.imaging();
+    im.mode = ImagingMode::kAbbe;
+    out.set_imaging(im);
+  }
   return out;
 }
 
-// ---- Batched window staging (see "Batched window execution", DESIGN.md) ----
+// ---- Window loops (see "Batched window execution", DESIGN.md) --------------
 //
-// The hot loops hand parallel_for a chunk equal to the SoA batch width, and
-// the worker that owns a chunk stages it whole at the chunk's first index:
-// probe journal and cache, batch-image only the windows that would actually
-// compute, park the results in per-index slots, then let the unchanged
-// per-index body consume them.  Staged results are bit-identical to the
-// scalar computations they replace, so everything downstream — cache
-// insertion order within the chunk, journal payloads, containment — is
-// exactly the unbatched loop's.  Staging is best-effort: any staging
-// failure just clears the slots and the per-index body recomputes scalar,
-// under its own fault scope.
+// The three hot loops run through run_window_loop (window_loop.h) in chunks
+// of loop_chunk windows.  Each chunk's journal and cache misses are computed
+// in one batched call, every window contained as its own fault lane.
 
-/// Batching engages only for the SOCS engine (the Abbe reference never
-/// batches) and only without an active fault plan: injected faults are
-/// attributed to one (domain, index), which a joint batch computation
-/// cannot honor, so the fault harness always sees the scalar loop.
+/// Batching engages only for the SOCS engine; the Abbe reference images
+/// every window alone.
 bool batching_enabled(const LithoSimulator& sim) {
   return sim.imaging().batch_windows != 0 &&
-         sim.imaging().mode == ImagingMode::kSocs && !fault::enabled();
+         sim.imaging().mode == ImagingMode::kSocs;
 }
 
 /// Hot-loop chunk size for `n` windows on `threads` (>= 1) threads: the
@@ -156,22 +154,56 @@ std::size_t loop_chunk(const LithoSimulator& sim, std::size_t n,
   return std::clamp<std::size_t>((n + threads - 1) / threads, 1, kTileLanes);
 }
 
-/// OPC window cache key (see opc_window_impl) — factored out so the batch
-/// staging pass can probe without running the window.
-Fingerprint opc_cache_fp(OpcMode mode, const Rect& window,
-                         const std::vector<Polygon>& targets,
-                         const Point& anchor, const LithoSimulator& sim,
-                         const OpcOptions& opc_options) {
-  FpHasher h;
-  h.str("opc").u64(static_cast<std::uint64_t>(mode));
-  h.i64(window.width()).i64(window.height());
-  hash_sim(h, sim);
-  hash_opc_options(h, opc_options);
-  h.polys(targets, anchor);
-  return h.digest();
+/// Instance `i`'s litho window: its placed cell boundary plus the ambit.
+Rect instance_window(const PlacedDesign& d, std::size_t i, DbUnit ambit) {
+  const Instance& inst = d.layout.instance(i);
+  return inst.transform.apply(d.layout.cell(inst.cell).boundary)
+      .inflated(ambit);
 }
 
-/// Latent-image cache key (see latent_for_window) — ditto.
+/// Polygons as a disjoint rectangle mask (the drawn, uncorrected mask).
+std::vector<Rect> drawn_rects(const std::vector<Polygon>& polys) {
+  std::vector<Rect> rects;
+  for (const Polygon& p : polys) {
+    for (const Rect& r : decompose(p)) rects.push_back(r);
+  }
+  return disjoint_union(rects);
+}
+
+/// `img` with its origin moved by `by`.  Image origins are window corners
+/// minus a half-integer centering offset, so rebasing a latent between the
+/// window and the cache's local frame is exact in doubles: a cached latent
+/// equals a recompute bit for bit.
+Image2D rebased(const Image2D& img, Point by) {
+  Image2D out(img.nx(), img.ny(), img.pixel(),
+              img.origin_x() + static_cast<double>(by.x),
+              img.origin_y() + static_cast<double>(by.y));
+  out.data() = img.data();
+  return out;
+}
+
+/// Calls f(group) for each group of same-shape rasters among `ws`, groups
+/// in first-appearance order and members ascending: one SoA batch each.
+template <typename Window, typename F>
+void for_each_shape(const std::vector<Window*>& ws, F&& f) {
+  std::vector<char> grouped(ws.size(), 0);
+  for (std::size_t a = 0; a < ws.size(); ++a) {
+    if (grouped[a]) continue;
+    std::vector<Window*> group;
+    for (std::size_t b = a; b < ws.size(); ++b) {
+      if (!grouped[b] && ws[b]->raster.nx() == ws[a]->raster.nx() &&
+          ws[b]->raster.ny() == ws[a]->raster.ny()) {
+        group.push_back(ws[b]);
+        grouped[b] = 1;
+      }
+    }
+    f(group);
+  }
+}
+
+/// Latent-image cache key: optics, resist diffusion (the threshold only
+/// applies downstream, at contour extraction), exposure, quality and the
+/// mask in the window's local frame.
 Fingerprint latent_window_fp(const LithoSimulator& sim,
                              const std::vector<Rect>& mask,
                              const Rect& window, const Exposure& exposure,
@@ -187,163 +219,6 @@ Fingerprint latent_window_fp(const LithoSimulator& sim,
   h.i64(window.width()).i64(window.height());
   h.rects(mask, anchor);
   return h.digest();
-}
-
-// ---- Run-journal payload codecs --------------------------------------------
-//
-// Payloads store exactly the bits the hot loops would recompute (integers
-// verbatim, doubles as IEEE-754 bit patterns), so a replay is
-// indistinguishable from a recompute downstream.  Decoders return false on
-// any structural mismatch; the caller then recomputes the window.
-
-void encode_rects(ByteWriter& w, const std::vector<Rect>& rects) {
-  w.u32(static_cast<std::uint32_t>(rects.size()));
-  for (const Rect& r : rects) {
-    w.i64(r.xlo);
-    w.i64(r.ylo);
-    w.i64(r.xhi);
-    w.i64(r.yhi);
-  }
-}
-
-bool decode_rects(ByteReader& r, std::vector<Rect>& rects) {
-  const std::uint32_t n = r.u32();
-  rects.clear();
-  rects.reserve(n);
-  for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-    Rect rect;
-    rect.xlo = r.i64();
-    rect.ylo = r.i64();
-    rect.xhi = r.i64();
-    rect.yhi = r.i64();
-    rects.push_back(rect);
-  }
-  return r.ok();
-}
-
-std::vector<std::uint8_t> encode_opc_payload(const std::vector<Rect>& mask,
-                                             const OpcStats& s,
-                                             bool degraded) {
-  ByteWriter w;
-  encode_rects(w, mask);
-  w.u64(s.windows);
-  w.u64(s.model_based_windows);
-  w.u64(s.fragments);
-  w.u64(s.iterations);
-  w.f64(s.max_abs_epe_nm);
-  w.f64(s.rms_epe_sum);
-  w.u8(degraded ? 1 : 0);
-  return w.take();
-}
-
-bool decode_opc_payload(const std::vector<std::uint8_t>& bytes,
-                        std::vector<Rect>& mask, OpcStats& s,
-                        bool& degraded) {
-  ByteReader r(bytes);
-  if (!decode_rects(r, mask)) return false;
-  s.windows = r.u64();
-  s.model_based_windows = r.u64();
-  s.fragments = r.u64();
-  s.iterations = r.u64();
-  s.max_abs_epe_nm = r.f64();
-  s.rms_epe_sum = r.f64();
-  degraded = r.u8() != 0;
-  return r.done();
-}
-
-std::vector<std::uint8_t> encode_extract_payload(const GateExtraction& ext) {
-  ByteWriter w;
-  w.u64(ext.gate);
-  w.u32(static_cast<std::uint32_t>(ext.devices.size()));
-  for (const DeviceCd& d : ext.devices) {
-    w.str(d.device);
-    w.u8(d.is_nmos ? 1 : 0);
-    w.f64(d.drawn_l_nm);
-    w.f64(d.drawn_w_nm);
-    w.u32(static_cast<std::uint32_t>(d.profile.slice_cd_nm.size()));
-    for (double cd : d.profile.slice_cd_nm) w.f64(cd);
-    w.f64(d.profile.slice_width_nm);
-    w.f64(d.profile.drawn_cd_nm);
-    w.f64(d.eq.width_um);
-    w.f64(d.eq.ion_ua);
-    w.f64(d.eq.ioff_ua);
-    w.f64(d.eq.l_eff_drive_nm);
-    w.f64(d.eq.l_eff_leak_nm);
-    w.f64(d.eq.l_mean_nm);
-    w.u8(d.eq.functional ? 1 : 0);
-  }
-  return w.take();
-}
-
-bool decode_extract_payload(const std::vector<std::uint8_t>& bytes,
-                            GateExtraction& ext) {
-  ByteReader r(bytes);
-  ext.gate = r.u64();
-  const std::uint32_t ndev = r.u32();
-  ext.devices.clear();
-  for (std::uint32_t i = 0; i < ndev && r.ok(); ++i) {
-    DeviceCd d;
-    d.device = r.str();
-    d.is_nmos = r.u8() != 0;
-    d.drawn_l_nm = r.f64();
-    d.drawn_w_nm = r.f64();
-    const std::uint32_t nslices = r.u32();
-    for (std::uint32_t s = 0; s < nslices && r.ok(); ++s) {
-      d.profile.slice_cd_nm.push_back(r.f64());
-    }
-    d.profile.slice_width_nm = r.f64();
-    d.profile.drawn_cd_nm = r.f64();
-    d.eq.width_um = r.f64();
-    d.eq.ion_ua = r.f64();
-    d.eq.ioff_ua = r.f64();
-    d.eq.l_eff_drive_nm = r.f64();
-    d.eq.l_eff_leak_nm = r.f64();
-    d.eq.l_mean_nm = r.f64();
-    d.eq.functional = r.u8() != 0;
-    ext.devices.push_back(std::move(d));
-  }
-  return r.done();
-}
-
-std::vector<std::uint8_t> encode_scan_payload(
-    const PostOpcFlow::HotspotReport& rep) {
-  ByteWriter w;
-  w.u64(rep.windows_checked);
-  w.u64(rep.pinches);
-  w.u64(rep.bridges);
-  w.u64(rep.epe_violations);
-  w.u32(static_cast<std::uint32_t>(rep.hotspots.size()));
-  for (const PostOpcFlow::Hotspot& h : rep.hotspots) {
-    w.u64(h.instance);
-    w.str(h.exposure_name);
-    w.u8(static_cast<std::uint8_t>(h.violation.kind));
-    w.i64(h.violation.where.x);
-    w.i64(h.violation.where.y);
-    w.f64(h.violation.value_nm);
-  }
-  return w.take();
-}
-
-bool decode_scan_payload(const std::vector<std::uint8_t>& bytes,
-                         PostOpcFlow::HotspotReport& rep) {
-  ByteReader r(bytes);
-  rep = {};
-  rep.windows_checked = r.u64();
-  rep.pinches = r.u64();
-  rep.bridges = r.u64();
-  rep.epe_violations = r.u64();
-  const std::uint32_t n = r.u32();
-  for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-    PostOpcFlow::Hotspot h;
-    h.instance = r.u64();
-    h.exposure_name = r.str();
-    h.violation.kind = static_cast<OrcViolation::Kind>(r.u8());
-    h.violation.where.x = r.i64();
-    h.violation.where.y = r.i64();
-    h.violation.value_nm = r.f64();
-    rep.hotspots.push_back(std::move(h));
-  }
-  return r.done();
 }
 
 void hash_mosfet(FpHasher& h, const MosfetParams& p) {
@@ -363,11 +238,6 @@ void hash_mosfet(FpHasher& h, const MosfetParams& p) {
 
 }  // namespace
 
-/// The three flow-level result caches.  Values are stored in the window's
-/// local frame (anchor = window origin subtracted from all coordinates) and
-/// translated back on a hit, so one entry serves every placement of the
-/// same cell context.  Translation of integer geometry and of half-integer
-/// image origins is exact, which keeps hits bit-identical to recomputes.
 /// Containment bookkeeping.  Worker threads only ever touch the sorted
 /// degraded-gate set (order-independent); fault entries are appended by the
 /// calling thread in window-index order via record_outcomes, so health() is
@@ -383,20 +253,15 @@ struct PostOpcFlow::TimingState {
   std::unique_ptr<TimingGraph> graph;  ///< null until first warm re-time
 };
 
+/// The three flow-level result caches.  Values are stored in the window's
+/// local frame (anchor = window origin subtracted from all coordinates) and
+/// translated back on a hit, so one entry serves every placement of the
+/// same cell context.  Translation of integer geometry and of half-integer
+/// image origins is exact, which keeps hits bit-identical to recomputes.
 struct PostOpcFlow::WindowCaches {
-  /// Corrected mask + per-window OPC stats, local frame.
-  struct OpcEntry {
-    std::vector<Rect> mask;
-    OpcStats stats;
-  };
-  /// ORC report with violation coordinates in the local frame.
-  struct OrcEntry {
-    OrcReport report;
-  };
-
-  ShardedCache<OpcEntry> opc;
+  ShardedCache<OpcWindow> opc;
   ShardedCache<Image2D> latent;
-  ShardedCache<OrcEntry> orc;
+  ShardedCache<OrcReport> orc;  ///< one per (window, corner)
 
   WindowCaches(std::size_t bytes_each, std::size_t shards)
       : opc(bytes_each, shards),
@@ -406,98 +271,40 @@ struct PostOpcFlow::WindowCaches {
 
 namespace {
 
-// ---- Disk-tier codecs ------------------------------------------------------
-//
-// Same discipline as the journal payload codecs above: integers verbatim,
-// doubles as IEEE-754 bit patterns, decoders return null on any structural
-// mismatch (the cache then reports a miss and the window recomputes).
-
-std::vector<std::uint8_t> encode_opc_entry(
-    const PostOpcFlow::WindowCaches::OpcEntry& e) {
-  ByteWriter w;
-  encode_rects(w, e.mask);
-  w.u64(e.stats.windows);
-  w.u64(e.stats.model_based_windows);
-  w.u64(e.stats.fragments);
-  w.u64(e.stats.iterations);
-  w.f64(e.stats.max_abs_epe_nm);
-  w.f64(e.stats.rms_epe_sum);
-  return w.take();
+/// Attaches a disk store under `dir` to `cache`, coded by its value codec.
+template <typename T>
+void attach_disk(ShardedCache<T>& cache, const std::string& dir,
+                 const DiskCacheStore::Options& options) {
+  cache.attach_disk(
+      std::make_shared<DiskCacheStore>(dir, options),
+      [](const T& value) { return to_bytes(value); },
+      [](const std::vector<std::uint8_t>& bytes) {
+        auto value = std::make_shared<T>();
+        return from_bytes(bytes, *value) ? value : nullptr;
+      });
 }
 
-std::shared_ptr<PostOpcFlow::WindowCaches::OpcEntry> decode_opc_entry(
-    const std::vector<std::uint8_t>& bytes) {
-  ByteReader r(bytes);
-  auto e = std::make_shared<PostOpcFlow::WindowCaches::OpcEntry>();
-  if (!decode_rects(r, e->mask)) return nullptr;
-  e->stats.windows = r.u64();
-  e->stats.model_based_windows = r.u64();
-  e->stats.fragments = r.u64();
-  e->stats.iterations = r.u64();
-  e->stats.max_abs_epe_nm = r.f64();
-  e->stats.rms_epe_sum = r.f64();
-  return r.done() ? e : nullptr;
+/// An OPC window's mask and stats from its model-based correction.
+OpcWindow model_window(const OpcResult& result) {
+  OpcWindow out;
+  out.mask = result.mask_rects();
+  out.stats.windows = 1;
+  out.stats.model_based_windows = 1;
+  out.stats.fragments = result.fragments.size();
+  out.stats.iterations = result.iterations;
+  out.stats.max_abs_epe_nm = result.max_abs_epe_body_nm;
+  out.stats.rms_epe_sum = result.rms_epe_body_nm;
+  return out;
 }
 
-std::vector<std::uint8_t> encode_latent_entry(const Image2D& img) {
-  ByteWriter w;
-  w.u64(img.nx());
-  w.u64(img.ny());
-  w.f64(img.pixel());
-  w.f64(img.origin_x());
-  w.f64(img.origin_y());
-  for (double v : img.data()) w.f64(v);
-  return w.take();
-}
-
-std::shared_ptr<Image2D> decode_latent_entry(
-    const std::vector<std::uint8_t>& bytes) {
-  ByteReader r(bytes);
-  const std::uint64_t nx = r.u64();
-  const std::uint64_t ny = r.u64();
-  const double pixel = r.f64();
-  const double ox = r.f64();
-  const double oy = r.f64();
-  if (!r.ok() || nx * ny != r.remaining() / sizeof(double)) return nullptr;
-  auto img = std::make_shared<Image2D>(static_cast<std::size_t>(nx),
-                                       static_cast<std::size_t>(ny), pixel, ox,
-                                       oy);
-  for (double& v : img->data()) v = r.f64();
-  return r.done() ? img : nullptr;
-}
-
-std::vector<std::uint8_t> encode_orc_entry(
-    const PostOpcFlow::WindowCaches::OrcEntry& e) {
-  ByteWriter w;
-  w.f64(e.report.max_abs_epe_nm);
-  w.f64(e.report.rms_epe_nm);
-  w.u32(static_cast<std::uint32_t>(e.report.violations.size()));
-  for (const OrcViolation& v : e.report.violations) {
-    w.u8(static_cast<std::uint8_t>(v.kind));
-    w.i64(v.where.x);
-    w.i64(v.where.y);
-    w.f64(v.value_nm);
-  }
-  return w.take();
-}
-
-std::shared_ptr<PostOpcFlow::WindowCaches::OrcEntry> decode_orc_entry(
-    const std::vector<std::uint8_t>& bytes) {
-  ByteReader r(bytes);
-  auto e = std::make_shared<PostOpcFlow::WindowCaches::OrcEntry>();
-  e->report.max_abs_epe_nm = r.f64();
-  e->report.rms_epe_nm = r.f64();
-  const std::uint32_t n = r.u32();
-  e->report.violations.reserve(r.ok() ? n : 0);
-  for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-    OrcViolation v;
-    v.kind = static_cast<OrcViolation::Kind>(r.u8());
-    v.where.x = r.i64();
-    v.where.y = r.i64();
-    v.value_nm = r.f64();
-    e->report.violations.push_back(v);
-  }
-  return r.done() ? e : nullptr;
+/// `e` with its mask moved by `by` (window frame <-> cache local frame).
+OpcWindow translated(
+    const OpcWindow& e, Point by) {
+  OpcWindow out;
+  out.mask.reserve(e.mask.size());
+  for (const Rect& r : e.mask) out.mask.push_back(r.translated(by));
+  out.stats = e.stats;
+  return out;
 }
 
 }  // namespace
@@ -527,17 +334,10 @@ PostOpcFlow::PostOpcFlow(const PlacedDesign& design, const StdCellLibrary& lib,
       // a pure performance layer: entries round-trip bit-exactly, so a
       // cross-worker hit is indistinguishable from an in-process recompute.
       const std::string& root = options_.cache.disk_path;
-      const DiskCacheStore::Options store_options{
-          options_.cache.disk_max_bytes};
-      caches_->opc.attach_disk(
-          std::make_shared<DiskCacheStore>(root + "/opc", store_options),
-          encode_opc_entry, decode_opc_entry);
-      caches_->latent.attach_disk(
-          std::make_shared<DiskCacheStore>(root + "/latent", store_options),
-          encode_latent_entry, decode_latent_entry);
-      caches_->orc.attach_disk(
-          std::make_shared<DiskCacheStore>(root + "/orc", store_options),
-          encode_orc_entry, decode_orc_entry);
+      const DiskCacheStore::Options store{options_.cache.disk_max_bytes};
+      attach_disk(caches_->opc, root + "/opc", store);
+      attach_disk(caches_->latent, root + "/latent", store);
+      attach_disk(caches_->orc, root + "/orc", store);
     }
   }
   health_state_ = std::make_shared<HealthState>();
@@ -549,16 +349,12 @@ PostOpcFlow::PostOpcFlow(const PlacedDesign& design, const StdCellLibrary& lib,
       // A run that cannot journal still runs — undurable, but reported.
       const FlowError err = capture_flow_error(kNoWindowId, "journal.open");
       log_warn("run journal disabled: ", err.to_string());
-      FlowHealth::WindowFault f;
-      f.phase = "journal";
-      f.index = kNoWindowId;
-      f.code = err.code;
-      f.origin = err.origin;
-      f.attempts = 1;
       // Same rule health() applies to append-time issues: losing the
       // journal means losing durability — a degraded mode.
-      f.degraded = err.code == FaultCode::kJournalIo;
-      health_state_->faults.push_back(std::move(f));
+      health_state_->faults.push_back(
+          {.phase = "journal", .index = kNoWindowId, .code = err.code,
+           .origin = err.origin, .attempts = 1,
+           .degraded = err.code == FaultCode::kJournalIo});
     }
     if (journal_) {
       const RunJournal::Stats js = journal_->stats();
@@ -632,73 +428,6 @@ std::vector<ReplayIssue> PostOpcFlow::journal_issues() const {
   return journal_ ? journal_->issues() : std::vector<ReplayIssue>{};
 }
 
-Fingerprint PostOpcFlow::opc_record_fp(std::size_t instance,
-                                       OpcMode mode) const {
-  const Instance& inst = design_->layout.instance(instance);
-  const Rect window =
-      inst.transform.apply(design_->layout.cell(inst.cell).boundary)
-          .inflated(options_.ambit_nm);
-  const std::vector<Polygon> targets =
-      design_->layout.flatten_layer_polys(window, Layer::kPoly);
-  FpHasher h;
-  h.str("jopc").u64(instance).u64(static_cast<std::uint64_t>(mode));
-  h.i64(window.xlo).i64(window.ylo).i64(window.xhi).i64(window.yhi);
-  hash_sim(h, sim_);
-  hash_opc_options(h, options_.opc);
-  h.polys(targets, Point{0, 0});
-  return h.digest();
-}
-
-Fingerprint PostOpcFlow::extract_record_fp(const LithoSimulator& sim,
-                                           const Exposure& exposure,
-                                           GateIdx gate) const {
-  const std::size_t instance = design_->gate_to_instance[gate];
-  const Rect window = design_->litho_window(gate, options_.ambit_nm);
-  FpHasher h;
-  h.str("jext").u64(gate).u64(instance);
-  h.i64(window.xlo).i64(window.ylo).i64(window.xhi).i64(window.yhi);
-  hash_sim(h, sim);
-  hash_exposure(h, exposure);
-  h.u64(static_cast<std::uint64_t>(options_.extract_quality));
-  h.f64(options_.cdx.edge_trim_fraction)
-      .u64(options_.cdx.num_slices)
-      .f64(options_.cdx.reach_factor);
-  // The extraction reads the post-OPC mask, so the record dies with it: a
-  // resumed run whose OPC degraded differently can never replay a stale CD.
-  h.rects(mask_for_instance(instance), Point{0, 0});
-  for (const PlacedGate* pg : design_->gates_of(gate)) {
-    h.rect(pg->region, Point{0, 0});
-    h.u64(pg->vertical_poly ? 1 : 0);
-  }
-  return h.digest();
-}
-
-Fingerprint PostOpcFlow::scan_record_fp(
-    std::size_t instance, const std::vector<ProcessCorner>& conditions,
-    const OrcOptions& orc_options) const {
-  const Instance& inst = design_->layout.instance(instance);
-  const Rect window =
-      inst.transform.apply(design_->layout.cell(inst.cell).boundary)
-          .inflated(options_.ambit_nm);
-  const std::vector<Polygon> targets =
-      design_->layout.flatten_layer_polys(window, Layer::kPoly);
-  FpHasher h;
-  h.str("jscan").u64(instance);
-  h.i64(window.xlo).i64(window.ylo).i64(window.xhi).i64(window.yhi);
-  hash_sim(h, silicon_sim_);
-  hash_sim(h, sim_);
-  hash_opc_options(h, options_.opc);
-  hash_orc_options(h, orc_options);
-  h.polys(targets, Point{0, 0});
-  h.rects(mask_for_instance(instance), Point{0, 0});
-  h.u64(conditions.size());
-  for (const ProcessCorner& c : conditions) {
-    h.str(c.name);
-    hash_exposure(h, c.exposure);
-  }
-  return h.digest();
-}
-
 FlowHealth PostOpcFlow::health() const {
   FlowHealth h;
   {
@@ -713,14 +442,10 @@ FlowHealth PostOpcFlow::health() const {
   // recomputed, which is containment working as designed.
   if (journal_) {
     for (const ReplayIssue& issue : journal_->issues()) {
-      FlowHealth::WindowFault f;
-      f.phase = "journal";
-      f.index = issue.offset;
-      f.code = issue.code;
-      f.origin = issue.segment;
-      f.attempts = 1;
-      f.degraded = issue.code == FaultCode::kJournalIo;
-      h.faults.push_back(std::move(f));
+      h.faults.push_back({.phase = "journal", .index = issue.offset,
+                          .code = issue.code, .origin = issue.segment,
+                          .attempts = 1,
+                          .degraded = issue.code == FaultCode::kJournalIo});
     }
   }
   // A disk-cache tier that went down after a publish I/O error keeps the
@@ -732,14 +457,9 @@ FlowHealth PostOpcFlow::health() const {
                                       caches_->orc.disk_store()};
     for (const DiskCacheStore* store : stores) {
       if (store == nullptr || !store->degraded()) continue;
-      FlowHealth::WindowFault f;
-      f.phase = "cache";
-      f.index = kNoWindowId;
-      f.code = FaultCode::kCacheIo;
-      f.origin = store->dir();
-      f.attempts = 1;
-      f.degraded = true;
-      h.faults.push_back(std::move(f));
+      h.faults.push_back({.phase = "cache", .index = kNoWindowId,
+                          .code = FaultCode::kCacheIo, .origin = store->dir(),
+                          .attempts = 1, .degraded = true});
     }
   }
   for (const FlowHealth::WindowFault& f : h.faults) {
@@ -757,25 +477,17 @@ void PostOpcFlow::reset_health() const {
 }
 
 void PostOpcFlow::record_outcomes(
-    const char* phase, const std::vector<ItemOutcome>& outcomes,
-    const std::vector<std::uint64_t>& indices) const {
+    const char* phase, const std::vector<WindowOutcome>& outcomes) const {
   std::lock_guard<std::mutex> lock(health_state_->mutex);
-  for (std::size_t k = 0; k < outcomes.size(); ++k) {
-    const ItemOutcome& oc = outcomes[k];
+  for (const WindowOutcome& oc : outcomes) {
     if (!oc.faulted) continue;
-    FlowHealth::WindowFault f;
-    f.phase = phase;
-    f.index = indices[k];
-    f.code = oc.first_error.code;
-    f.origin = oc.first_error.origin;
-    f.attempts = oc.attempts;
-    f.recovered = oc.recovered;
-    f.degraded = oc.degraded;
-    log_warn("flow ", phase, " window ", f.index, " fault ",
+    log_warn("flow ", phase, " window ", oc.index, " fault ",
              oc.first_error.to_string(),
              oc.degraded ? " -> degraded"
                          : (oc.recovered ? " -> recovered" : ""));
-    health_state_->faults.push_back(std::move(f));
+    health_state_->faults.push_back(
+        {phase, oc.index, oc.first_error.code, oc.first_error.origin,
+         oc.attempts, oc.recovered, oc.degraded});
   }
 }
 
@@ -865,110 +577,177 @@ std::size_t PostOpcFlow::threads() const {
   return resolve_threads(options_.threads);
 }
 
-PostOpcFlow::OpcWindowResult PostOpcFlow::opc_window(std::size_t instance,
-                                                     OpcMode mode,
-                                                     OpcResult* staged) const {
-  return opc_window_impl(instance, mode, sim_, options_.opc,
-                         /*use_cache=*/true, staged);
+template <typename Phase>
+void PostOpcFlow::run_windows(Phase& phase, std::size_t chunk) const {
+  const RecoveryOptions& rec = options_.recovery;
+  const std::vector<WindowOutcome> outcomes = run_window_loop(
+      phase, {threads(), chunk, cancel_token(), journal_.get(), rec.enabled,
+              rec.enabled ? rec.max_retries : 0});
+  if (rec.enabled) record_outcomes(phase.name, outcomes);
 }
 
-PostOpcFlow::OpcWindowResult PostOpcFlow::opc_window_impl(
-    std::size_t instance, OpcMode mode, const LithoSimulator& sim,
-    const OpcOptions& opc_options, bool use_cache, OpcResult* staged) const {
-  OpcWindowResult out;
-  const Instance& inst = design_->layout.instance(instance);
-  const Rect boundary =
-      inst.transform.apply(design_->layout.cell(inst.cell).boundary);
-  const Rect window = boundary.inflated(options_.ambit_nm);
-  const std::vector<Polygon> targets =
-      design_->layout.flatten_layer_polys(window, Layer::kPoly);
+OpcWindow PostOpcFlow::opc_window(
+    OpcMode mode, const std::vector<Polygon>& targets, const Rect& window,
+    const LithoSimulator& sim, const OpcOptions& opc_options) const {
+  OpcWindow out;
   if (targets.empty()) return out;
-
-  // Cache key: window shape + targets in the local frame, plus everything
-  // the correction depends on (mode, OPC options, the model simulator).
-  // Retry attempts pass use_cache=false and skip both find and insert:
-  // their escalated settings must never populate the nominal key.
-  const bool cache = use_cache && caches_ != nullptr;
-  const Point anchor{window.xlo, window.ylo};
-  Fingerprint fp;
-  if (cache) {
-    fp = opc_cache_fp(mode, window, targets, anchor, sim, opc_options);
-    if (const auto hit = caches_->opc.find(fp)) {
-      out.mask.reserve(hit->mask.size());
-      for (const Rect& r : hit->mask) out.mask.push_back(r.translated(anchor));
-      out.stats = hit->stats;
-      return out;
-    }
-  }
-
-  ++out.stats.windows;
   switch (mode) {
-    case OpcMode::kNone: {
-      std::vector<Rect> rects;
-      for (const Polygon& p : targets) {
-        for (const Rect& r : decompose(p)) rects.push_back(r);
-      }
-      out.mask = disjoint_union(rects);
+    case OpcMode::kNone:
+      out.mask = drawn_rects(targets);
       break;
-    }
     case OpcMode::kRuleBased: {
       std::vector<Fragment> frags =
           fragment_polygons(targets, opc_options.fragmentation);
-      const std::vector<Polygon> corrected =
-          rule_based_opc(targets, frags, RuleOpcTable{});
-      std::vector<Rect> rects;
-      for (const Polygon& p : corrected) {
-        for (const Rect& r : decompose(p)) rects.push_back(r);
-      }
-      out.mask = disjoint_union(rects);
-      out.stats.fragments += frags.size();
+      out.mask = drawn_rects(rule_based_opc(targets, frags, RuleOpcTable{}));
+      out.stats.fragments = frags.size();
       break;
     }
-    case OpcMode::kModelBased: {
-      // A staged result comes from the batched pass and is bit-identical to
-      // what correct() would return here; consume it instead of re-running
-      // the engine.
-      OpcEngine engine(sim, opc_options);
-      const OpcResult result =
-          staged != nullptr ? std::move(*staged)
-                            : engine.correct(targets, window);
-      out.mask = result.mask_rects();
-      ++out.stats.model_based_windows;
-      out.stats.fragments += result.fragments.size();
-      out.stats.iterations += result.iterations;
-      out.stats.max_abs_epe_nm = result.max_abs_epe_body_nm;
-      out.stats.rms_epe_sum += result.rms_epe_body_nm;
-      break;
-    }
+    case OpcMode::kModelBased:
+      return model_window(OpcEngine(sim, opc_options).correct(targets, window));
   }
-
-  if (cache) {
-    auto entry = std::make_shared<WindowCaches::OpcEntry>();
-    const Point to_local{-anchor.x, -anchor.y};
-    entry->mask.reserve(out.mask.size());
-    for (const Rect& r : out.mask) entry->mask.push_back(r.translated(to_local));
-    entry->stats = out.stats;
-    const std::size_t cost =
-        out.mask.size() * sizeof(Rect) + sizeof(WindowCaches::OpcEntry);
-    caches_->opc.insert(fp, std::move(entry), cost);
-  }
+  out.stats.windows = 1;
   return out;
 }
 
-std::vector<Rect> PostOpcFlow::drawn_mask_for_instance(
-    std::size_t instance) const {
-  const Instance& inst = design_->layout.instance(instance);
-  const Rect window =
-      inst.transform.apply(design_->layout.cell(inst.cell).boundary)
-          .inflated(options_.ambit_nm);
-  const std::vector<Polygon> targets =
-      design_->layout.flatten_layer_polys(window, Layer::kPoly);
-  std::vector<Rect> rects;
-  for (const Polygon& p : targets) {
-    for (const Rect& r : decompose(p)) rects.push_back(r);
+/// Per-instance OPC.  Results land in design-sized slots indexed by
+/// instance, so a shard's subset runs the same code.  The cache holds the
+/// mask in the window's local frame plus the window's stats, keyed by the
+/// mode, the model and the local-frame targets.
+struct PostOpcFlow::OpcPhase {
+  struct Window : WindowState {
+    OpcMode mode = OpcMode::kNone;
+    Rect window;
+    std::vector<Polygon> targets;
+    bool hit = false;  ///< result served by the cache
+    OpcWindow result;
+  };
+  static constexpr const char* name = "opc";
+  static constexpr fault::Domain domain = fault::Domain::kOpc;
+  static constexpr JournalPhase journal_phase = JournalPhase::kOpc;
+
+  PostOpcFlow& flow;
+  const std::function<OpcMode(std::size_t)>& mode_for_instance;
+  const std::vector<std::size_t>* subset;
+  std::vector<OpcStats>& per_window;
+  /// Escalated settings shared by every retry: sign-off quality for the
+  /// draft iterations and the Abbe reference when the nominal path runs
+  /// SOCS.
+  LithoSimulator retry_sim;
+  OpcOptions retry_opts;
+
+  std::size_t size() const {
+    return subset != nullptr ? subset->size() : flow.masks_.size();
   }
-  return disjoint_union(rects);
-}
+  std::uint64_t index(std::size_t k) const {
+    return subset != nullptr ? (*subset)[k] : k;
+  }
+  bool skip(Window&) const { return false; }
+  Point anchor(const Window& w) const { return {w.window.xlo, w.window.ylo}; }
+
+  void open(Window& w) const {
+    w.mode = mode_for_instance(w.index);
+    w.window = instance_window(*flow.design_, w.index, flow.options_.ambit_nm);
+    w.targets = flow.design_->layout.flatten_layer_polys(w.window, Layer::kPoly);
+    if (flow.caches_ == nullptr || w.targets.empty()) return;
+    FpHasher h;
+    h.str("opc").u64(static_cast<std::uint64_t>(w.mode));
+    h.i64(w.window.width()).i64(w.window.height());
+    hash_sim(h, flow.sim_);
+    hash_opc_options(h, flow.options_.opc);
+    h.polys(w.targets, anchor(w));
+    w.keyed = true;
+    w.key = h.digest();
+  }
+  Fingerprint record_fp(const Window& w) const {
+    FpHasher h;
+    h.str("jopc").u64(w.index).u64(static_cast<std::uint64_t>(w.mode));
+    h.rect(w.window, Point{0, 0});
+    hash_sim(h, flow.sim_);
+    hash_opc_options(h, flow.options_.opc);
+    h.polys(w.targets, Point{0, 0});
+    return h.digest();
+  }
+  bool replay(Window& w, const JournalRecord& rec) {
+    bool degraded = false;
+    if (!from_bytes(rec.payload, flow.masks_[w.index], per_window[w.index],
+                    degraded)) {
+      return false;
+    }
+    flow.opc_degraded_[w.index] = degraded ? 1 : 0;
+    return true;
+  }
+  std::vector<std::uint8_t> payload(const Window& w) const {
+    return to_bytes(flow.masks_[w.index], per_window[w.index],
+                    flow.opc_degraded_[w.index] != 0);
+  }
+
+  bool probe(Window& w) const {
+    if (w.targets.empty()) return true;  // nothing to correct
+    if (!w.keyed) return false;
+    const auto hit = flow.caches_->opc.find(w.key);
+    if (hit == nullptr) return false;
+    w.result = translated(*hit, anchor(w));
+    w.hit = true;
+    return true;
+  }
+  /// Model-based windows correct in lockstep through correct_batch; the
+  /// cheap rule-based and uncorrected modes run one by one.
+  void compute(Window* const* ws, std::size_t n) const {
+    std::vector<OpcBatchJob> jobs;
+    std::vector<Window*> model;
+    for (std::size_t j = 0; j < n; ++j) {
+      Window& w = *ws[j];
+      if (w.mode == OpcMode::kModelBased) {
+        jobs.push_back({&w.targets, w.window, w.lane()});
+        model.push_back(&w);
+      } else {
+        fault::run_lane(w.lane(), [&] {
+          w.result = flow.opc_window(w.mode, w.targets, w.window, flow.sim_,
+                                     flow.options_.opc);
+        });
+      }
+    }
+    if (jobs.empty()) return;
+    const std::vector<OpcResult> results =
+        OpcEngine(flow.sim_, flow.options_.opc)
+            .correct_batch(jobs.data(), jobs.size(), Exposure{},
+                           tls_scratch_arena());
+    for (std::size_t j = 0; j < model.size(); ++j) {
+      if (!model[j]->error) model[j]->result = model_window(results[j]);
+    }
+  }
+  void store(Window& w) {
+    if (w.keyed && !w.hit) {
+      const Point to_local{-w.window.xlo, -w.window.ylo};
+      auto entry = std::make_shared<OpcWindow>(
+          translated(w.result, to_local));
+      const std::size_t cost =
+          w.result.mask.size() * sizeof(Rect) + sizeof(OpcWindow);
+      flow.caches_->opc.insert(w.key, std::move(entry), cost);
+    }
+    flow.masks_[w.index] = std::move(w.result.mask);
+    per_window[w.index] = w.result.stats;
+  }
+  void retry(Window& w) {
+    w.result =
+        flow.opc_window(w.mode, w.targets, w.window, retry_sim, retry_opts);
+    flow.masks_[w.index] = std::move(w.result.mask);
+    per_window[w.index] = w.result.stats;
+  }
+  /// Keeps the run alive on the drawn (uncorrected) mask and flags the
+  /// instance, so its gates fall back to drawn-CD timing instead of
+  /// extracting CDs from a silently-uncorrected mask.
+  void degrade(Window& w) {
+    try {
+      flow.masks_[w.index] = drawn_rects(w.targets);
+    } catch (...) {
+      flow.masks_[w.index].clear();
+    }
+    per_window[w.index] = {};
+    per_window[w.index].windows = 1;
+    flow.opc_degraded_[w.index] = 1;
+  }
+};
 
 void PostOpcFlow::run_opc_windows(
     const std::function<OpcMode(std::size_t)>& mode_for_instance,
@@ -976,237 +755,21 @@ void PostOpcFlow::run_opc_windows(
   const std::size_t n = design_->layout.num_instances();
   masks_.assign(n, {});
   opc_degraded_.assign(n, 0);
-  // Loop space: all instances, or a shard's subset of them.  Slots stay
-  // design-sized (indexed by instance); the loop index k maps through
-  // inst_of so the shard path shares every line below.
-  const std::size_t m = subset != nullptr ? subset->size() : n;
-  const auto inst_of = [subset](std::size_t k) {
-    return subset != nullptr ? (*subset)[k] : k;
-  };
-  // Each window writes its own mask slot; the per-window stats are merged
-  // on the calling thread in instance order, so the aggregate is
-  // bit-identical whatever the thread count.
+  // The per-window stats merge on the calling thread in instance order, so
+  // the aggregate is bit-identical whatever the thread count.
   std::vector<OpcStats> per_window(n);
-  const CancelToken* cancel = cancel_token();
-  // Flush on every exit path — including the kCancelled unwind — so a
-  // graceful shutdown leaves each drained window durable on disk.
-  struct JournalFlusher {
-    RunJournal* j;
-    ~JournalFlusher() {
-      if (j != nullptr) j->flush();
-    }
-  } flusher{journal_.get()};
-  // Journal replay/append around the compute: a hit restores the window's
-  // mask/stats/degradation bits; a computed window appends them.  Returns
-  // true when the record replayed cleanly.
-  const auto replay_window = [&](const JournalRecord& rec, std::size_t i) {
-    bool degraded = false;
-    if (!decode_opc_payload(rec.payload, masks_[i], per_window[i], degraded)) {
-      return false;
-    }
-    opc_degraded_[i] = degraded ? 1 : 0;
-    return true;
-  };
-  const auto journal_window = [&](const Fingerprint& fp, std::size_t i,
-                                  const JournalOutcome& outcome) {
-    JournalRecord rec;
-    rec.phase = JournalPhase::kOpc;
-    rec.index = i;
-    rec.fp = fp;
-    rec.outcome = outcome;
-    rec.payload =
-        encode_opc_payload(masks_[i], per_window[i], opc_degraded_[i] != 0);
-    journal_->append(std::move(rec));
-  };
-
-  // Batched staging: the worker owning a chunk runs the model-based windows
-  // that would actually compute (journal and cache misses) through the
-  // lockstep correct_batch, then the unchanged per-instance bodies consume
-  // the parked, bit-identical results.  Best-effort: any staging failure
-  // falls back to the scalar engine under the window's own fault scope.
-  const std::size_t chunk = loop_chunk(sim_, m, threads());
-  const bool batching = batching_enabled(sim_);
-  std::vector<std::unique_ptr<OpcResult>> staged(n);
-  const auto stage_chunk = [&](std::size_t first) {
-    const ChunkSpan span = chunk_span(m, chunk, first);
-    struct Pending {
-      std::size_t i = 0;
-      Rect window;
-      std::vector<Polygon> targets;
-    };
-    std::vector<Pending> pending;
-    for (std::size_t k = span.lo; k < span.hi; ++k) {
-      const std::size_t i = inst_of(k);
-      if (mode_for_instance(i) != OpcMode::kModelBased) continue;
-      if (journal_ &&
-          journal_->find(opc_record_fp(i, OpcMode::kModelBased)) != nullptr) {
-        continue;  // will replay from the journal, not compute
-      }
-      const Instance& inst = design_->layout.instance(i);
-      const Rect window =
-          inst.transform.apply(design_->layout.cell(inst.cell).boundary)
-              .inflated(options_.ambit_nm);
-      std::vector<Polygon> targets =
-          design_->layout.flatten_layer_polys(window, Layer::kPoly);
-      if (targets.empty()) continue;
-      if (caches_ != nullptr &&
-          caches_->opc.peek(opc_cache_fp(
-              OpcMode::kModelBased, window, targets,
-              Point{window.xlo, window.ylo}, sim_, options_.opc)) != nullptr) {
-        continue;  // the consumption path will hit the cache
-      }
-      pending.push_back({i, window, std::move(targets)});
-    }
-    if (pending.empty()) return;
-    try {
-      std::vector<OpcBatchJob> jobs;
-      jobs.reserve(pending.size());
-      for (const Pending& p : pending) jobs.push_back({&p.targets, p.window});
-      const OpcEngine engine(sim_, options_.opc);
-      std::vector<OpcResult> results = engine.correct_batch(
-          jobs.data(), jobs.size(), Exposure{}, tls_scratch_arena());
-      for (std::size_t b = 0; b < pending.size(); ++b) {
-        staged[pending[b].i] =
-            std::make_unique<OpcResult>(std::move(results[b]));
-      }
-    } catch (...) {
-      for (std::size_t k = span.lo; k < span.hi; ++k) staged[inst_of(k)].reset();
-    }
-  };
-
-  const RecoveryOptions& rec = options_.recovery;
-  if (!rec.enabled) {
-    // Fail-fast mode still names its windows for the fault harness, so an
-    // injected fault aborts the run instead of being silently skipped —
-    // containment is what changes the outcome, not the injection.
-    parallel_for(threads(), m, chunk, [&](std::size_t k) {
-      if (batching && chunk_span(m, chunk, k).lo == k) stage_chunk(k);
-      const std::size_t i = inst_of(k);
-      const OpcMode mode = mode_for_instance(i);
-      Fingerprint jfp;
-      if (journal_) {
-        jfp = opc_record_fp(i, mode);
-        if (const JournalRecord* hit = journal_->find(jfp)) {
-          if (replay_window(*hit, i)) return;
-        }
-      }
-      fault::Scope scope(fault::Domain::kOpc, i);
-      fault::maybe_throw(fault::Kind::kAlloc);
-      std::unique_ptr<OpcResult> mine = std::move(staged[i]);
-      OpcWindowResult r = opc_window(i, mode, mine.get());
-      masks_[i] = std::move(r.mask);
-      per_window[i] = r.stats;
-      if (journal_) journal_window(jfp, i, JournalOutcome{});
-    }, cancel);
-  } else {
-    // Escalated settings shared by every retry attempt: sign-off quality
-    // for the draft iterations and the Abbe reference engine when the
-    // nominal path runs SOCS.
-    OpcOptions retry_opts = options_.opc;
-    if (rec.escalate_quality) retry_opts.sim_quality = retry_opts.final_quality;
-    LithoSimulator retry_sim = sim_;
-    if (rec.fallback_to_abbe && sim_.imaging().mode == ImagingMode::kSocs) {
-      retry_sim = with_abbe(sim_);
-      retry_opts.sim_imaging = OpcImaging::kAbbe;
-      retry_opts.final_imaging = OpcImaging::kAbbe;
-    }
-    std::vector<ItemOutcome> outcomes(m);
-    std::vector<std::uint64_t> indices(m);
-    for (std::size_t k = 0; k < m; ++k) indices[k] = inst_of(k);
-    const std::vector<IndexedError> escaped = try_parallel_for(
-        threads(), m, chunk,
-        [&](std::size_t k) {
-          if (batching && chunk_span(m, chunk, k).lo == k) stage_chunk(k);
-          const std::size_t i = inst_of(k);
-          ItemOutcome& oc = outcomes[k];
-          const OpcMode mode = mode_for_instance(i);
-          Fingerprint jfp;
-          if (journal_) {
-            jfp = opc_record_fp(i, mode);
-            if (const JournalRecord* hit = journal_->find(jfp)) {
-              if (replay_window(*hit, i)) {
-                // Reconstruct the containment outcome so health() matches
-                // the uninterrupted run entry for entry.
-                oc.faulted = hit->outcome.faulted;
-                oc.first_error = FlowError{hit->outcome.code, i,
-                                           hit->outcome.origin,
-                                           hit->outcome.message};
-                oc.attempts = hit->outcome.attempts;
-                oc.recovered = hit->outcome.recovered;
-                oc.degraded = hit->outcome.degraded;
-                return;
-              }
-            }
-          }
-          fault::Scope scope(fault::Domain::kOpc, i);
-          std::unique_ptr<OpcResult> mine = std::move(staged[i]);
-          const std::size_t max_attempts = 1 + rec.max_retries;
-          for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
-            try {
-              fault::maybe_throw(fault::Kind::kAlloc);
-              // Staged corrections ran under nominal settings; retries use
-              // the escalated engine and never consume them.
-              OpcWindowResult r =
-                  attempt == 0
-                      ? opc_window(i, mode, mine.get())
-                      : opc_window_impl(i, mode, retry_sim,
-                                        retry_opts, /*use_cache=*/false);
-              masks_[i] = std::move(r.mask);
-              per_window[i] = r.stats;
-              oc.attempts = attempt + 1;
-              oc.recovered = attempt > 0;
-              if (journal_) {
-                journal_window(jfp, i,
-                               JournalOutcome{oc.faulted, oc.first_error.code,
-                                              oc.first_error.origin,
-                                              oc.first_error.message,
-                                              static_cast<std::uint32_t>(
-                                                  oc.attempts),
-                                              oc.recovered, false});
-              }
-              return;
-            } catch (...) {
-              if (!oc.faulted) {
-                oc.faulted = true;
-                oc.first_error = capture_flow_error(i, "flow.opc");
-              }
-              oc.attempts = attempt + 1;
-            }
-          }
-          // Degrade: keep the run alive on the drawn (uncorrected) mask and
-          // flag the instance so its gates fall back to drawn-CD timing
-          // instead of extracting CDs from a silently-uncorrected mask.
-          oc.degraded = true;
-          try {
-            masks_[i] = drawn_mask_for_instance(i);
-          } catch (...) {
-            masks_[i].clear();
-          }
-          per_window[i] = {};
-          per_window[i].windows = 1;
-          opc_degraded_[i] = 1;
-          if (journal_) {
-            journal_window(jfp, i,
-                           JournalOutcome{oc.faulted, oc.first_error.code,
-                                          oc.first_error.origin,
-                                          oc.first_error.message,
-                                          static_cast<std::uint32_t>(
-                                              oc.attempts),
-                                          false, true});
-          }
-        },
-        "flow.opc", cancel);
-    // The containment above absorbs everything, so try_parallel_for only
-    // reports bugs in the degrade path itself — still fold them in rather
-    // than lose them.
-    for (const IndexedError& e : escaped) {
-      outcomes[e.index].faulted = true;
-      outcomes[e.index].degraded = true;
-      outcomes[e.index].first_error = e.error;
-      opc_degraded_[inst_of(e.index)] = 1;
-    }
-    record_outcomes("opc", outcomes, indices);
+  OpcOptions retry_opts = options_.opc;
+  if (options_.recovery.escalate_quality) {
+    retry_opts.sim_quality = retry_opts.final_quality;
   }
+  const LithoSimulator retry_sim = retry_simulator(sim_, options_.recovery);
+  if (retry_sim.imaging().mode != sim_.imaging().mode) {
+    retry_opts.sim_imaging = OpcImaging::kAbbe;
+    retry_opts.final_imaging = OpcImaging::kAbbe;
+  }
+  OpcPhase phase{*this, mode_for_instance, subset, per_window, retry_sim,
+                 retry_opts};
+  run_windows(phase, loop_chunk(sim_, phase.size(), threads()));
   opc_stats_ = {};
   for (const OpcStats& w : per_window) opc_stats_ = merge_stats(opc_stats_, w);
   if (caches_) log_cache("OPC window", caches_->opc.counters());
@@ -1284,287 +847,157 @@ std::vector<GateIdx> all_or_subset(
 
 }  // namespace
 
+/// Per-gate litho simulation + CD extraction, the flow's dominant cost.
+/// The cache holds each window's latent image in its local frame, keyed by
+/// the simulator, exposure, quality and the post-OPC mask.
+struct PostOpcFlow::ExtractPhase {
+  struct Window : WindowState {
+    std::size_t instance = 0;
+    Rect window;
+    Image2D raster;
+    Image2D latent;
+    bool hit = false;  ///< latent served by the cache
+  };
+  static constexpr const char* name = "extract";
+  static constexpr fault::Domain domain = fault::Domain::kExtract;
+  static constexpr JournalPhase journal_phase = JournalPhase::kExtract;
+
+  const PostOpcFlow& flow;
+  const LithoSimulator& sim;
+  const Exposure& exposure;
+  const std::vector<GateIdx>& gates;
+  std::vector<GateExtraction>& out;
+  LithoSimulator retry_sim;
+  LithoQuality retry_quality;
+
+  std::size_t size() const { return gates.size(); }
+  std::uint64_t index(std::size_t k) const { return gates[k]; }
+  const std::vector<Rect>& mask(const Window& w) const {
+    return flow.mask_for_instance(w.instance);
+  }
+  LithoQuality quality() const { return flow.options_.extract_quality; }
+
+  bool skip(Window& w) const {
+    // The slot keeps its gate id whatever happens: an empty-device record
+    // is exactly the "gate without extraction" path in annotate (drawn-CD
+    // timing), and it still consumes its ACLV noise draw so every other
+    // gate's offset is unchanged.
+    out[w.k].gate = w.index;
+    w.instance = flow.design_->gate_to_instance[w.index];
+    if (!flow.opc_degraded_[w.instance]) return false;
+    // The instance's OPC window degraded; its drawn-mask fallback must not
+    // feed CDs into STA.  Cheap enough to recompute on resume rather than
+    // journal.
+    flow.record_degraded_gate(w.index);
+    return true;
+  }
+  void open(Window& w) const {
+    w.window = flow.design_->litho_window(w.index, flow.options_.ambit_nm);
+    if (flow.caches_ == nullptr) return;
+    w.keyed = true;
+    w.key = latent_window_fp(sim, mask(w), w.window, exposure, quality());
+  }
+  Fingerprint record_fp(const Window& w) const {
+    FpHasher h;
+    h.str("jext").u64(w.index).u64(w.instance);
+    h.rect(w.window, Point{0, 0});
+    hash_sim(h, sim);
+    hash_exposure(h, exposure);
+    h.u64(static_cast<std::uint64_t>(quality()));
+    const CdExtractOptions& cdx = flow.options_.cdx;
+    h.f64(cdx.edge_trim_fraction).u64(cdx.num_slices).f64(cdx.reach_factor);
+    // The extraction reads the post-OPC mask, so the record dies with it: a
+    // resumed run whose OPC degraded differently never replays a stale CD.
+    h.rects(mask(w), Point{0, 0});
+    for (const PlacedGate* pg : flow.design_->gates_of(w.index)) {
+      h.rect(pg->region, Point{0, 0});
+      h.u64(pg->vertical_poly ? 1 : 0);
+    }
+    return h.digest();
+  }
+  bool replay(Window& w, const JournalRecord& rec) const {
+    if (!from_bytes(rec.payload, out[w.k])) return false;
+    if (rec.outcome.degraded) flow.record_degraded_gate(w.index);
+    return true;
+  }
+  std::vector<std::uint8_t> payload(const Window& w) const {
+    return to_bytes(out[w.k]);
+  }
+
+  bool probe(Window& w) const {
+    if (!w.keyed) return false;
+    const auto hit = flow.caches_->latent.find(w.key);
+    if (hit == nullptr) return false;
+    w.latent = rebased(*hit, Point{w.window.xlo, w.window.ylo});
+    w.hit = true;
+    return true;
+  }
+  /// Rasterizes every window, then images each same-shape group (in
+  /// first-appearance order) as one SoA batch.
+  void compute(Window* const* ws, std::size_t n) const {
+    std::vector<Window*> live;
+    for (std::size_t j = 0; j < n; ++j) {
+      Window& w = *ws[j];
+      if (fault::run_lane(w.lane(), [&] {
+            w.raster = sim.rasterize(mask(w), w.window, quality());
+          })) {
+        live.push_back(&w);
+      }
+    }
+    for_each_shape(live, [&](const std::vector<Window*>& group) {
+      std::vector<const Image2D*> rasters;
+      std::vector<fault::Lane> lanes;
+      for (Window* w : group) {
+        rasters.push_back(&w->raster);
+        lanes.push_back(w->lane());
+      }
+      std::vector<Image2D> latents =
+          sim.latent_batch(rasters.data(), rasters.size(), exposure, quality(),
+                           tls_scratch_arena(), std::nullopt, lanes.data());
+      for (std::size_t j = 0; j < group.size(); ++j) {
+        group[j]->latent = std::move(latents[j]);
+        group[j]->raster = {};
+      }
+    });
+  }
+  void store(Window& w) const {
+    if (w.keyed && !w.hit) {
+      auto entry = std::make_shared<Image2D>(
+          rebased(w.latent, Point{-w.window.xlo, -w.window.ylo}));
+      const std::size_t cost =
+          w.latent.nx() * w.latent.ny() * sizeof(double) + sizeof(Image2D);
+      flow.caches_->latent.insert(w.key, std::move(entry), cost);
+    }
+    out[w.k] = flow.extract_gate(w.index, w.latent, sim.print_threshold());
+  }
+  void retry(Window& w) const {
+    const Image2D latent =
+        retry_sim.latent(mask(w), w.window, exposure, retry_quality);
+    out[w.k] = flow.extract_gate(w.index, latent, retry_sim.print_threshold());
+  }
+  void degrade(Window& w) const {
+    out[w.k].devices.clear();
+    flow.record_degraded_gate(w.index);
+  }
+};
+
 std::vector<GateExtraction> PostOpcFlow::extract_impl(
     const LithoSimulator& sim, const Exposure& exposure,
     const std::optional<std::vector<GateIdx>>& subset) const {
   POC_EXPECTS(!masks_.empty());  // run_opc first
   const std::vector<GateIdx> gates = all_or_subset(design_->netlist, subset);
-  // Per-gate silicon/model litho simulation + CD extraction is the flow's
-  // dominant cost; every gate is independent and writes its own slot.
   std::vector<GateExtraction> out(gates.size());
-  const CancelToken* cancel = cancel_token();
-
-  // Batched staging (see "Batched window execution" in DESIGN.md): the
-  // parallel chunk equals the SoA batch width, and the worker that owns a
-  // chunk stages it whole at the chunk's first index — probe journal and
-  // latent cache, batch-image only the windows that would actually compute,
-  // park each latent in its per-index slot for the unchanged per-gate body
-  // to consume.  Staged latents are bit-identical to scalar sim.latent
-  // calls, and cache insertion still happens per index in chunk order, so
-  // results, counters and insertion order match the unbatched loop exactly.
-  const std::size_t chunk = loop_chunk(sim, gates.size(), threads());
-  const bool batching = batching_enabled(sim);
-  std::vector<std::unique_ptr<Image2D>> staged(gates.size());
-  const auto stage_chunk = [&](std::size_t first) {
-    const ChunkSpan span = chunk_span(gates.size(), chunk, first);
-    struct Pending {
-      std::size_t k = 0;
-      Rect window;
-    };
-    std::vector<Pending> pending;
-    for (std::size_t k = span.lo; k < span.hi; ++k) {
-      const GateIdx g = gates[k];
-      const std::size_t instance = design_->gate_to_instance[g];
-      if (!opc_degraded_.empty() && opc_degraded_[instance]) continue;
-      if (journal_ &&
-          journal_->find(extract_record_fp(sim, exposure, g)) != nullptr) {
-        continue;  // will replay from the journal, not compute
-      }
-      const Rect window = design_->litho_window(g, options_.ambit_nm);
-      if (caches_ != nullptr &&
-          caches_->latent.peek(latent_window_fp(
-              sim, mask_for_instance(instance), window, exposure,
-              options_.extract_quality)) != nullptr) {
-        continue;  // the consumption path will hit the cache
-      }
-      pending.push_back({k, window});
-    }
-    if (pending.empty()) return;
-    try {
-      ScratchArena& arena = tls_scratch_arena();
-      std::vector<Image2D> masks(pending.size());
-      for (std::size_t m = 0; m < pending.size(); ++m) {
-        const GateIdx g = gates[pending[m].k];
-        masks[m] =
-            sim.rasterize(mask_for_instance(design_->gate_to_instance[g]),
-                          pending[m].window, options_.extract_quality);
-      }
-      // Same-shape groups in first-appearance order; each is one SoA batch.
-      std::vector<char> grouped(pending.size(), 0);
-      for (std::size_t m = 0; m < pending.size(); ++m) {
-        if (grouped[m]) continue;
-        std::vector<std::size_t> members;
-        for (std::size_t j = m; j < pending.size(); ++j) {
-          if (!grouped[j] && masks[j].nx() == masks[m].nx() &&
-              masks[j].ny() == masks[m].ny()) {
-            members.push_back(j);
-            grouped[j] = 1;
-          }
-        }
-        std::vector<const Image2D*> ptrs;
-        ptrs.reserve(members.size());
-        for (std::size_t j : members) ptrs.push_back(&masks[j]);
-        std::vector<Image2D> latents =
-            sim.latent_batch(ptrs.data(), ptrs.size(), exposure,
-                             options_.extract_quality, arena);
-        for (std::size_t j = 0; j < members.size(); ++j) {
-          staged[pending[members[j]].k] =
-              std::make_unique<Image2D>(std::move(latents[j]));
-        }
-      }
-    } catch (...) {
-      // Best-effort: cleared slots make the per-gate bodies recompute
-      // scalar, under their own fault scope and containment.
-      for (std::size_t k = span.lo; k < span.hi; ++k) staged[k].reset();
-    }
-  };
-  struct JournalFlusher {
-    RunJournal* j;
-    ~JournalFlusher() {
-      if (j != nullptr) j->flush();
-    }
-  } flusher{journal_.get()};
-  const auto journal_gate = [&](const Fingerprint& fp, GateIdx g,
-                                const GateExtraction& ext,
-                                const JournalOutcome& outcome) {
-    JournalRecord rec;
-    rec.phase = JournalPhase::kExtract;
-    rec.index = g;
-    rec.fp = fp;
-    rec.outcome = outcome;
-    rec.payload = encode_extract_payload(ext);
-    journal_->append(std::move(rec));
-  };
   const RecoveryOptions& rec = options_.recovery;
-  if (!rec.enabled) {
-    parallel_for(threads(), gates.size(), chunk, [&](std::size_t k) {
-      if (batching && chunk_span(gates.size(), chunk, k).lo == k) {
-        stage_chunk(k);
-      }
-      const GateIdx g = gates[k];
-      Fingerprint jfp;
-      if (journal_) {
-        jfp = extract_record_fp(sim, exposure, g);
-        if (const JournalRecord* hit = journal_->find(jfp)) {
-          if (decode_extract_payload(hit->payload, out[k])) return;
-        }
-      }
-      fault::Scope scope(fault::Domain::kExtract, g);
-      fault::maybe_throw(fault::Kind::kAlloc);
-      const std::size_t instance = design_->gate_to_instance[g];
-      const Rect window = design_->litho_window(g, options_.ambit_nm);
-      std::unique_ptr<Image2D> mine = std::move(staged[k]);
-      const Image2D latent = latent_for_window(
-          sim, mask_for_instance(instance), window, exposure,
-          options_.extract_quality, /*use_cache=*/true, mine.get());
-      out[k] = extract_gate(g, latent, sim.print_threshold());
-      if (journal_) journal_gate(jfp, g, out[k], JournalOutcome{});
-    }, cancel);
-  } else {
-    const LithoSimulator retry_sim =
-        rec.fallback_to_abbe && sim.imaging().mode == ImagingMode::kSocs
-            ? with_abbe(sim)
-            : sim;
-    const LithoQuality retry_quality =
-        rec.escalate_quality ? kEscalatedQuality : options_.extract_quality;
-    std::vector<ItemOutcome> outcomes(gates.size());
-    std::vector<std::uint64_t> indices(gates.size());
-    for (std::size_t k = 0; k < gates.size(); ++k) indices[k] = gates[k];
-    const std::vector<IndexedError> escaped = try_parallel_for(
-        threads(), gates.size(), chunk,
-        [&](std::size_t k) {
-          if (batching && chunk_span(gates.size(), chunk, k).lo == k) {
-            stage_chunk(k);
-          }
-          const GateIdx g = gates[k];
-          // The slot keeps its gate id whatever happens below: an empty-
-          // device record is exactly the existing "gate without extraction"
-          // path in annotate (drawn-CD timing), and it still consumes its
-          // ACLV noise draw so every other gate's offset is unchanged.
-          out[k].gate = g;
-          const std::size_t instance = design_->gate_to_instance[g];
-          if (opc_degraded_[instance]) {
-            // The instance's OPC window already degraded; its drawn-mask
-            // fallback must not feed CDs into STA.  Cheap enough that it is
-            // recomputed on resume rather than journaled.
-            record_degraded_gate(g);
-            return;
-          }
-          ItemOutcome& oc = outcomes[k];
-          Fingerprint jfp;
-          if (journal_) {
-            jfp = extract_record_fp(sim, exposure, g);
-            if (const JournalRecord* hit = journal_->find(jfp)) {
-              if (decode_extract_payload(hit->payload, out[k])) {
-                oc.faulted = hit->outcome.faulted;
-                oc.first_error = FlowError{hit->outcome.code, g,
-                                           hit->outcome.origin,
-                                           hit->outcome.message};
-                oc.attempts = hit->outcome.attempts;
-                oc.recovered = hit->outcome.recovered;
-                oc.degraded = hit->outcome.degraded;
-                if (oc.degraded) record_degraded_gate(g);
-                return;
-              }
-            }
-          }
-          fault::Scope scope(fault::Domain::kExtract, g);
-          const Rect window = design_->litho_window(g, options_.ambit_nm);
-          std::unique_ptr<Image2D> mine = std::move(staged[k]);
-          const std::size_t max_attempts = 1 + rec.max_retries;
-          for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
-            const LithoSimulator& s = attempt == 0 ? sim : retry_sim;
-            const LithoQuality q =
-                attempt == 0 ? options_.extract_quality : retry_quality;
-            try {
-              fault::maybe_throw(fault::Kind::kAlloc);
-              // Staged latents were computed under nominal settings, so
-              // retries (fallback sim / escalated quality) never consume
-              // them.
-              const Image2D latent = latent_for_window(
-                  s, mask_for_instance(instance), window, exposure, q,
-                  /*use_cache=*/attempt == 0,
-                  attempt == 0 ? mine.get() : nullptr);
-              out[k] = extract_gate(g, latent, s.print_threshold());
-              oc.attempts = attempt + 1;
-              oc.recovered = attempt > 0;
-              if (journal_) {
-                journal_gate(jfp, g, out[k],
-                             JournalOutcome{oc.faulted, oc.first_error.code,
-                                            oc.first_error.origin,
-                                            oc.first_error.message,
-                                            static_cast<std::uint32_t>(
-                                                oc.attempts),
-                                            oc.recovered, false});
-              }
-              return;
-            } catch (...) {
-              if (!oc.faulted) {
-                oc.faulted = true;
-                oc.first_error = capture_flow_error(g, "flow.extract");
-              }
-              oc.attempts = attempt + 1;
-            }
-          }
-          oc.degraded = true;
-          out[k].devices.clear();
-          record_degraded_gate(g);
-          if (journal_) {
-            journal_gate(jfp, g, out[k],
-                         JournalOutcome{oc.faulted, oc.first_error.code,
-                                        oc.first_error.origin,
-                                        oc.first_error.message,
-                                        static_cast<std::uint32_t>(
-                                            oc.attempts),
-                                        false, true});
-          }
-        },
-        "flow.extract", cancel);
-    for (const IndexedError& e : escaped) {
-      outcomes[e.index].faulted = true;
-      outcomes[e.index].degraded = true;
-      outcomes[e.index].first_error = e.error;
-      record_degraded_gate(gates[e.index]);
-    }
-    record_outcomes("extract", outcomes, indices);
-  }
+  ExtractPhase phase{
+      *this, sim, exposure, gates, out, retry_simulator(sim, rec),
+      rec.escalate_quality ? kEscalatedQuality : options_.extract_quality};
+  run_windows(phase, loop_chunk(sim, gates.size(), threads()));
   if (caches_) {
     const CacheCounters c = caches_->latent.counters();
     log_debug("latent cache: ", c.hits, " hits / ", c.misses, " misses (",
               c.hit_rate() * 100.0, "% hit rate)");
   }
   return out;
-}
-
-Image2D PostOpcFlow::latent_for_window(const LithoSimulator& sim,
-                                       const std::vector<Rect>& mask,
-                                       const Rect& window,
-                                       const Exposure& exposure,
-                                       LithoQuality quality,
-                                       bool use_cache,
-                                       Image2D* staged) const {
-  if (!caches_ || !use_cache) {
-    if (staged != nullptr) return std::move(*staged);
-    return sim.latent(mask, window, exposure, quality);
-  }
-  // The latent image depends on optics, resist diffusion (the threshold
-  // only applies downstream, at contour extraction), exposure, quality and
-  // the mask in the local frame.  Image origins are window.xlo/ylo minus a
-  // half-integer centering offset, so rebasing them between frames is exact
-  // in doubles: a translated replay equals a recompute bit for bit.
-  const Point anchor{window.xlo, window.ylo};
-  const Fingerprint fp = latent_window_fp(sim, mask, window, exposure, quality);
-
-  const double ax = static_cast<double>(anchor.x);
-  const double ay = static_cast<double>(anchor.y);
-  if (const auto hit = caches_->latent.find(fp)) {
-    Image2D img(hit->nx(), hit->ny(), hit->pixel(), hit->origin_x() + ax,
-                hit->origin_y() + ay);
-    img.data() = hit->data();
-    return img;
-  }
-
-  Image2D latent = staged != nullptr
-                       ? std::move(*staged)
-                       : sim.latent(mask, window, exposure, quality);
-  auto entry = std::make_shared<Image2D>(latent.nx(), latent.ny(),
-                                         latent.pixel(), latent.origin_x() - ax,
-                                         latent.origin_y() - ay);
-  entry->data() = latent.data();
-  const std::size_t cost =
-      latent.nx() * latent.ny() * sizeof(double) + sizeof(Image2D);
-  caches_->latent.insert(fp, std::move(entry), cost);
-  return latent;
 }
 
 std::vector<GateExtraction> PostOpcFlow::extract(
@@ -1679,321 +1112,215 @@ TimingComparison PostOpcFlow::compare_timing(const Exposure& exposure) {
   return cmp;
 }
 
-PostOpcFlow::HotspotReport PostOpcFlow::scan_hotspots(
-    const std::vector<ProcessCorner>& conditions,
-    const OrcOptions& orc_options) const {
-  POC_EXPECTS(!masks_.empty());  // run_opc first
-  const OpcEngine engine(sim_, options_.opc);
-  const std::size_t n = design_->layout.num_instances();
-  // Batched staging: per (window, corner) the scan consumes two latent
-  // images — the silicon print and the OPC model's view (EPE probes).  The
-  // worker owning a chunk images both through the SoA engine for every
-  // journal/cache-missing pair and reduces each pair to its OrcReport as
-  // soon as its batch returns, so only reports are parked: at most one
-  // shape group's latents are alive per worker, never the whole chunk's
-  // corners.  Rasterization is sim-independent, so one raster per window
-  // feeds both batches.  Corners cannot share a batch (defocus changes the
-  // TCC kernels), so batching runs across the chunk's windows within each
-  // corner.
-  const std::size_t chunk = loop_chunk(silicon_sim_, n, threads());
-  const bool batching = batching_enabled(silicon_sim_);
-  std::vector<std::vector<std::unique_ptr<OrcReport>>> staged(n);
+/// Per-window ORC across every corner.  The cache holds one ORC report per
+/// (window, corner) with violations in the local frame; its key covers
+/// both simulators, since run_orc probes pinch/bridge on the silicon latent
+/// and measures EPE through the model.  Everything but the exposure is
+/// corner-invariant, so the window's key prefix is hashed once and forked
+/// per corner.
+struct PostOpcFlow::ScanPhase {
+  struct Window : WindowState {
+    Rect window;
+    std::vector<Polygon> targets;
+    FpHasher base;  ///< corner-invariant cache key prefix
+    Image2D raster;
+    std::vector<OrcReport> reports;  ///< per corner
+    std::vector<char> hit;           ///< per corner: served by the cache
+  };
+  static constexpr const char* name = "scan";
+  static constexpr fault::Domain domain = fault::Domain::kScan;
+  static constexpr JournalPhase journal_phase = JournalPhase::kScan;
 
-  // Per-window ORC across all corners; partial reports land in per-window
-  // slots and merge in instance order, so violation order and counts match
-  // the serial scan exactly.  Retries (`use_cache` false) bypass the ORC
-  // cache so nothing computed on the recovery path lands under the nominal
-  // key.
-  const auto scan_window = [&](std::size_t i, bool use_cache) {
-    HotspotReport partial;
-    const bool cache_window = caches_ != nullptr && use_cache;
-    const Instance& inst = design_->layout.instance(i);
-    const Rect window =
-        inst.transform.apply(design_->layout.cell(inst.cell).boundary)
-            .inflated(options_.ambit_nm);
-    const std::vector<Polygon> targets =
-        design_->layout.flatten_layer_polys(window, Layer::kPoly);
-    if (targets.empty()) return partial;
-    ++partial.windows_checked;
-    const Point anchor{window.xlo, window.ylo};
-    // Everything but the exposure is corner-invariant, so the window
-    // geometry is hashed once and the hasher forked per corner.  The
-    // key covers both simulators: run_orc probes pinch/bridge with the
-    // silicon latent and measures EPE through the engine's model sim.
-    FpHasher base;
-    if (cache_window) {
-      base.str("orc");
-      hash_sim(base, silicon_sim_);
-      hash_sim(base, sim_);
-      hash_opc_options(base, options_.opc);
-      hash_orc_options(base, orc_options);
-      base.i64(window.width()).i64(window.height());
-      base.polys(targets, anchor);
-      base.rects(mask_for_instance(i), anchor);
+  const PostOpcFlow& flow;
+  const std::vector<ProcessCorner>& conditions;
+  const OrcOptions& orc;
+  const OpcEngine engine;  ///< the OPC model, for EPE probes
+  /// Hotspots are judged against the silicon reference, not the model.
+  std::vector<Exposure> exposures;
+  std::vector<HotspotReport>& slots;
+
+  std::size_t size() const { return slots.size(); }
+  std::uint64_t index(std::size_t k) const { return k; }
+  bool skip(Window&) const { return false; }
+  const std::vector<Rect>& mask(const Window& w) const {
+    return flow.mask_for_instance(w.index);
+  }
+  Point anchor(const Window& w) const { return {w.window.xlo, w.window.ylo}; }
+  Fingerprint corner_key(const Window& w, std::size_t c) const {
+    FpHasher h = w.base;
+    hash_exposure(h, exposures[c]);
+    return h.digest();
+  }
+
+  void open(Window& w) const {
+    w.window = instance_window(*flow.design_, w.index, flow.options_.ambit_nm);
+    w.targets = flow.design_->layout.flatten_layer_polys(w.window, Layer::kPoly);
+    w.reports.assign(conditions.size(), {});
+    w.hit.assign(conditions.size(), 0);
+    if (flow.caches_ == nullptr || w.targets.empty()) return;
+    w.base.str("orc");
+    hash_sim(w.base, flow.silicon_sim_);
+    hash_sim(w.base, flow.sim_);
+    hash_opc_options(w.base, flow.options_.opc);
+    hash_orc_options(w.base, orc);
+    w.base.i64(w.window.width()).i64(w.window.height());
+    w.base.polys(w.targets, anchor(w));
+    w.base.rects(mask(w), anchor(w));
+    w.keyed = true;
+    w.key = w.base.digest();
+  }
+  Fingerprint record_fp(const Window& w) const {
+    FpHasher h;
+    h.str("jscan2").u64(w.index);
+    h.rect(w.window, Point{0, 0});
+    hash_sim(h, flow.silicon_sim_);
+    hash_sim(h, flow.sim_);
+    hash_opc_options(h, flow.options_.opc);
+    hash_orc_options(h, orc);
+    h.polys(w.targets, Point{0, 0});
+    h.rects(mask(w), Point{0, 0});
+    h.u64(conditions.size());
+    for (const ProcessCorner& c : conditions) {
+      h.str(c.name);
+      hash_exposure(h, c.exposure);
+    }
+    return h.digest();
+  }
+  bool replay(Window& w, const JournalRecord& rec) const {
+    if (!from_bytes(rec.payload, w.reports) ||
+        w.reports.size() != conditions.size()) {
+      return false;
+    }
+    if (rec.outcome.degraded) {
+      degrade(w);
+    } else {
+      commit(w);
+    }
+    return true;
+  }
+  std::vector<std::uint8_t> payload(const Window& w) const {
+    return to_bytes(w.reports);
+  }
+
+  bool probe(Window& w) const {
+    bool all = true;
+    for (std::size_t c = 0; c < conditions.size() && !w.targets.empty(); ++c) {
+      const auto hit =
+          w.keyed ? flow.caches_->orc.find(corner_key(w, c)) : nullptr;
+      if (hit == nullptr) {
+        all = false;
+        continue;
+      }
+      w.reports[c] = *hit;
+      for (OrcViolation& v : w.reports[c].violations) {
+        v.where = v.where + anchor(w);
+      }
+      w.hit[c] = 1;
+    }
+    return all;
+  }
+  /// One raster per window feeds both the silicon and the model batch.
+  /// Corners cannot share a batch (defocus changes the TCC kernels), so
+  /// batching runs across the windows within each corner, and each pair of
+  /// latents is reduced to its report as soon as its batch returns.
+  void compute(Window* const* ws, std::size_t n) const {
+    std::vector<Window*> live;
+    for (std::size_t j = 0; j < n; ++j) {
+      Window& w = *ws[j];
+      if (fault::run_lane(w.lane(), [&] {
+            w.raster = flow.silicon_sim_.rasterize(mask(w), w.window,
+                                                   orc.quality);
+          })) {
+        live.push_back(&w);
+      }
     }
     for (std::size_t c = 0; c < conditions.size(); ++c) {
-      const ProcessCorner& corner = conditions[c];
-      // Hotspots are judged against the silicon reference, not the
-      // model.
-      const Exposure exposure = silicon_exposure(corner.exposure);
-      OrcReport orc;
-      bool cached = false;
-      Fingerprint fp;
-      if (cache_window) {
-        FpHasher h = base;
-        hash_exposure(h, exposure);
-        fp = h.digest();
-        if (const auto hit = caches_->orc.find(fp)) {
-          orc = hit->report;
-          for (OrcViolation& v : orc.violations) {
-            v.where = v.where + anchor;
-          }
-          cached = true;
-        }
+      std::vector<Window*> members;
+      for (Window* w : live) {
+        if (!w->error && !w->hit[c]) members.push_back(w);
       }
-      if (!cached) {
-        // Staged reports come from the batched pass at nominal settings;
-        // retries (use_cache false) never consume them.
-        std::unique_ptr<OrcReport> mine;
-        if (use_cache && staged[i].size() == conditions.size()) {
-          mine = std::move(staged[i][c]);
+      for_each_shape(members, [&](const std::vector<Window*>& group) {
+        std::vector<const Image2D*> rasters;
+        std::vector<fault::Lane> lanes;
+        for (Window* w : group) {
+          rasters.push_back(&w->raster);
+          lanes.push_back(w->lane());
         }
-        orc = mine != nullptr ? std::move(*mine)
-                              : run_orc(silicon_sim_, engine, targets,
-                                        mask_for_instance(i), window,
-                                        exposure, orc_options);
-        if (cache_window) {
-          auto entry = std::make_shared<WindowCaches::OrcEntry>();
-          entry->report = orc;
-          const Point to_local{-anchor.x, -anchor.y};
-          for (OrcViolation& v : entry->report.violations) {
-            v.where = v.where + to_local;
-          }
-          const std::size_t cost =
-              orc.violations.size() * sizeof(OrcViolation) +
-              sizeof(WindowCaches::OrcEntry);
-          caches_->orc.insert(fp, std::move(entry), cost);
+        std::vector<Image2D> silicon = flow.silicon_sim_.latent_batch(
+            rasters.data(), rasters.size(), exposures[c], orc.quality,
+            tls_scratch_arena(), std::nullopt, lanes.data());
+        std::vector<Image2D> model = flow.sim_.latent_batch(
+            rasters.data(), rasters.size(), exposures[c], orc.quality,
+            tls_scratch_arena(), std::nullopt, lanes.data());
+        for (std::size_t j = 0; j < group.size(); ++j) {
+          Window& w = *group[j];
+          fault::run_lane(w.lane(), [&] {
+            const OrcLatents latents{std::move(silicon[j]),
+                                     std::move(model[j])};
+            w.reports[c] = run_orc_staged(flow.silicon_sim_, engine,
+                                          w.targets, w.window, latents, orc);
+          });
         }
+      });
+    }
+  }
+  void store(Window& w) const {
+    for (std::size_t c = 0; c < conditions.size() && w.keyed; ++c) {
+      if (w.hit[c]) continue;
+      auto entry = std::make_shared<OrcReport>(w.reports[c]);
+      for (OrcViolation& v : entry->violations) {
+        v.where = v.where + Point{-w.window.xlo, -w.window.ylo};
       }
-      for (const OrcViolation& v : orc.violations) {
+      const std::size_t cost =
+          w.reports[c].violations.size() * sizeof(OrcViolation) +
+          sizeof(OrcReport);
+      flow.caches_->orc.insert(corner_key(w, c), std::move(entry), cost);
+    }
+    commit(w);
+  }
+  void retry(Window& w) const {
+    for (std::size_t c = 0; c < conditions.size() && !w.targets.empty(); ++c) {
+      w.reports[c] = run_orc(flow.silicon_sim_, engine, w.targets, mask(w),
+                             w.window, exposures[c], orc);
+    }
+    commit(w);
+  }
+  /// The window's violations are dropped (conservative for timing, not for
+  /// ORC — the fault record is the signal).
+  void degrade(Window& w) const { slots[w.k] = {}; }
+
+  /// Fills the window's slot from its per-corner reports, in corner order.
+  void commit(const Window& w) const {
+    HotspotReport& partial = slots[w.k];
+    partial = {};
+    if (w.targets.empty()) return;
+    partial.windows_checked = 1;
+    for (std::size_t c = 0; c < conditions.size(); ++c) {
+      for (const OrcViolation& v : w.reports[c].violations) {
         switch (v.kind) {
           case OrcViolation::Kind::kPinch: ++partial.pinches; break;
           case OrcViolation::Kind::kBridge: ++partial.bridges; break;
           case OrcViolation::Kind::kEpe: ++partial.epe_violations; break;
         }
-        partial.hotspots.push_back({i, corner.name, v});
+        partial.hotspots.push_back({w.index, conditions[c].name, v});
       }
     }
-    return partial;
-  };
-
-  const auto stage_chunk = [&](std::size_t first) {
-    const ChunkSpan span = chunk_span(n, chunk, first);
-    struct Win {
-      std::size_t i = 0;
-      Rect window;
-      std::vector<Polygon> targets;
-      Image2D raster;
-      FpHasher base;  ///< corner-invariant key prefix; forked per corner
-      bool has_base = false;
-    };
-    std::vector<Win> wins;
-    for (std::size_t i = span.lo; i < span.hi; ++i) {
-      if (journal_ &&
-          journal_->find(scan_record_fp(i, conditions, orc_options)) !=
-              nullptr) {
-        continue;  // will replay from the journal, not compute
-      }
-      const Instance& inst = design_->layout.instance(i);
-      const Rect window =
-          inst.transform.apply(design_->layout.cell(inst.cell).boundary)
-              .inflated(options_.ambit_nm);
-      std::vector<Polygon> targets =
-          design_->layout.flatten_layer_polys(window, Layer::kPoly);
-      if (targets.empty()) continue;
-      Win w;
-      w.i = i;
-      w.window = window;
-      w.targets = std::move(targets);
-      if (caches_ != nullptr) {
-        // Mirrors the key scan_window builds, so peeks hit iff find will.
-        w.base.str("orc");
-        hash_sim(w.base, silicon_sim_);
-        hash_sim(w.base, sim_);
-        hash_opc_options(w.base, options_.opc);
-        hash_orc_options(w.base, orc_options);
-        w.base.i64(window.width()).i64(window.height());
-        w.base.polys(w.targets, Point{window.xlo, window.ylo});
-        w.base.rects(mask_for_instance(i), Point{window.xlo, window.ylo});
-        w.has_base = true;
-      }
-      wins.push_back(std::move(w));
-    }
-    if (wins.empty()) return;
-    try {
-      ScratchArena& arena = tls_scratch_arena();
-      for (Win& w : wins) {
-        w.raster = silicon_sim_.rasterize(mask_for_instance(w.i), w.window,
-                                          orc_options.quality);
-        staged[w.i].resize(conditions.size());
-      }
-      for (std::size_t c = 0; c < conditions.size(); ++c) {
-        const Exposure exposure = silicon_exposure(conditions[c].exposure);
-        std::vector<std::size_t> members;
-        for (std::size_t m = 0; m < wins.size(); ++m) {
-          if (wins[m].has_base) {
-            FpHasher h = wins[m].base;
-            hash_exposure(h, exposure);
-            if (caches_->orc.peek(h.digest()) != nullptr) continue;
-          }
-          members.push_back(m);
-        }
-        // Same-shape groups in first-appearance order; one raster per
-        // window serves both the silicon and the model batch.
-        std::vector<char> grouped(members.size(), 0);
-        for (std::size_t a = 0; a < members.size(); ++a) {
-          if (grouped[a]) continue;
-          const Image2D& ref = wins[members[a]].raster;
-          std::vector<std::size_t> shape;
-          for (std::size_t b = a; b < members.size(); ++b) {
-            const Image2D& rb = wins[members[b]].raster;
-            if (!grouped[b] && rb.nx() == ref.nx() && rb.ny() == ref.ny()) {
-              shape.push_back(b);
-              grouped[b] = 1;
-            }
-          }
-          std::vector<const Image2D*> ptrs;
-          ptrs.reserve(shape.size());
-          for (std::size_t s : shape) {
-            ptrs.push_back(&wins[members[s]].raster);
-          }
-          std::vector<Image2D> silicon = silicon_sim_.latent_batch(
-              ptrs.data(), ptrs.size(), exposure, orc_options.quality, arena);
-          std::vector<Image2D> model = sim_.latent_batch(
-              ptrs.data(), ptrs.size(), exposure, orc_options.quality, arena);
-          for (std::size_t s = 0; s < shape.size(); ++s) {
-            const Win& w = wins[members[shape[s]]];
-            const OrcLatents latents{std::move(silicon[s]),
-                                     std::move(model[s])};
-            staged[w.i][c] = std::make_unique<OrcReport>(run_orc_staged(
-                silicon_sim_, engine, w.targets, w.window, latents,
-                orc_options));
-          }
-        }
-      }
-    } catch (...) {
-      for (std::size_t i = span.lo; i < span.hi; ++i) staged[i].clear();
-    }
-  };
-
-  std::vector<HotspotReport> slots(n);
-  const CancelToken* cancel = cancel_token();
-  struct JournalFlusher {
-    RunJournal* j;
-    ~JournalFlusher() {
-      if (j != nullptr) j->flush();
-    }
-  } flusher{journal_.get()};
-  const auto journal_scan = [&](const Fingerprint& fp, std::size_t i,
-                                const JournalOutcome& outcome) {
-    JournalRecord rec;
-    rec.phase = JournalPhase::kScan;
-    rec.index = i;
-    rec.fp = fp;
-    rec.outcome = outcome;
-    rec.payload = encode_scan_payload(slots[i]);
-    journal_->append(std::move(rec));
-  };
-  const RecoveryOptions& rec = options_.recovery;
-  if (!rec.enabled) {
-    parallel_for(threads(), n, chunk, [&](std::size_t i) {
-      if (batching && chunk_span(n, chunk, i).lo == i) stage_chunk(i);
-      Fingerprint jfp;
-      if (journal_) {
-        jfp = scan_record_fp(i, conditions, orc_options);
-        if (const JournalRecord* hit = journal_->find(jfp)) {
-          if (decode_scan_payload(hit->payload, slots[i])) return;
-        }
-      }
-      fault::Scope scope(fault::Domain::kScan, i);
-      fault::maybe_throw(fault::Kind::kAlloc);
-      slots[i] = scan_window(i, true);
-      if (journal_) journal_scan(jfp, i, JournalOutcome{});
-    }, cancel);
-  } else {
-    std::vector<ItemOutcome> outcomes(n);
-    std::vector<std::uint64_t> indices(n);
-    for (std::size_t i = 0; i < n; ++i) indices[i] = i;
-    const std::vector<IndexedError> escaped = try_parallel_for(
-        threads(), n, chunk,
-        [&](std::size_t i) {
-          if (batching && chunk_span(n, chunk, i).lo == i) stage_chunk(i);
-          ItemOutcome& oc = outcomes[i];
-          Fingerprint jfp;
-          if (journal_) {
-            jfp = scan_record_fp(i, conditions, orc_options);
-            if (const JournalRecord* hit = journal_->find(jfp)) {
-              if (decode_scan_payload(hit->payload, slots[i])) {
-                oc.faulted = hit->outcome.faulted;
-                oc.first_error = FlowError{hit->outcome.code, i,
-                                           hit->outcome.origin,
-                                           hit->outcome.message};
-                oc.attempts = hit->outcome.attempts;
-                oc.recovered = hit->outcome.recovered;
-                oc.degraded = hit->outcome.degraded;
-                return;
-              }
-            }
-          }
-          fault::Scope scope(fault::Domain::kScan, i);
-          const std::size_t max_attempts = 1 + rec.max_retries;
-          for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
-            try {
-              fault::maybe_throw(fault::Kind::kAlloc);
-              slots[i] = scan_window(i, /*use_cache=*/attempt == 0);
-              oc.attempts = attempt + 1;
-              oc.recovered = attempt > 0;
-              if (journal_) {
-                journal_scan(jfp, i,
-                             JournalOutcome{oc.faulted, oc.first_error.code,
-                                            oc.first_error.origin,
-                                            oc.first_error.message,
-                                            static_cast<std::uint32_t>(
-                                                oc.attempts),
-                                            oc.recovered, false});
-              }
-              return;
-            } catch (...) {
-              if (!oc.faulted) {
-                oc.faulted = true;
-                oc.first_error = capture_flow_error(i, "flow.scan");
-              }
-              oc.attempts = attempt + 1;
-            }
-          }
-          // Degrade: the window's violations are dropped (conservative for
-          // timing, not for ORC — the fault record is the signal).
-          oc.degraded = true;
-          slots[i] = {};
-          if (journal_) {
-            journal_scan(jfp, i,
-                         JournalOutcome{oc.faulted, oc.first_error.code,
-                                        oc.first_error.origin,
-                                        oc.first_error.message,
-                                        static_cast<std::uint32_t>(
-                                            oc.attempts),
-                                        false, true});
-          }
-        },
-        "flow.scan", cancel);
-    for (const IndexedError& e : escaped) {
-      outcomes[e.index].faulted = true;
-      outcomes[e.index].degraded = true;
-      outcomes[e.index].first_error = e.error;
-      slots[e.index] = {};
-    }
-    record_outcomes("scan", outcomes, indices);
   }
+};
+
+PostOpcFlow::HotspotReport PostOpcFlow::scan_hotspots(
+    const std::vector<ProcessCorner>& conditions,
+    const OrcOptions& orc_options) const {
+  POC_EXPECTS(!masks_.empty());  // run_opc first
+  // Partial reports land in per-window slots and merge in instance order,
+  // so violation order and counts match a serial scan exactly.
+  std::vector<HotspotReport> slots(design_->layout.num_instances());
+  ScanPhase phase{*this, conditions, orc_options,
+                  OpcEngine(sim_, options_.opc), {}, slots};
+  for (const ProcessCorner& c : conditions) {
+    phase.exposures.push_back(silicon_exposure(c.exposure));
+  }
+  run_windows(phase, loop_chunk(silicon_sim_, slots.size(), threads()));
 
   HotspotReport report;
   for (HotspotReport& w : slots) {

@@ -34,6 +34,7 @@
 namespace poc {
 
 class CancelToken;
+struct WindowOutcome;  // src/core/window_loop.h
 
 enum class OpcMode { kNone, kRuleBased, kModelBased };
 
@@ -184,6 +185,13 @@ struct OpcStats {
   std::size_t iterations = 0;   ///< summed litho-simulated iterations
   double max_abs_epe_nm = 0.0;
   double rms_epe_sum = 0.0;     ///< sum over windows (divide by windows)
+};
+
+/// One instance window's corrected poly mask and its share of OpcStats —
+/// the unit the OPC window cache and the run journal store.
+struct OpcWindow {
+  std::vector<Rect> mask;
+  OpcStats stats;
 };
 
 /// Extracted CDs and equivalent-gate model for one transistor.
@@ -382,37 +390,13 @@ class PostOpcFlow {
   /// phase "journal" faults.
   std::vector<ReplayIssue> journal_issues() const;
 
-  /// Content-addressed window caches (see CacheOptions).  Defined in
-  /// flow.cpp; declared public only so the file-local disk-tier codecs
-  /// there can name the entry types — the caches_ handle stays private.
-  struct WindowCaches;
-
  private:
-  /// One instance's OPC window, computed without touching shared state so
-  /// windows can run concurrently; run_opc merges the stats in instance
-  /// order.
-  struct OpcWindowResult {
-    std::vector<Rect> mask;
-    OpcStats stats;
-  };
-  /// `staged`, when non-null, is a correction result the batched staging
-  /// pass already computed for this window (bit-identical to what
-  /// engine.correct would produce — see OpcEngine::correct_batch); the
-  /// window consumes it instead of re-running the engine.  Cache probing
-  /// and insertion are unchanged either way.
-  OpcWindowResult opc_window(std::size_t instance, OpcMode mode,
-                             OpcResult* staged = nullptr) const;
-  /// opc_window with explicit simulator/options (the escalated-retry path)
-  /// and cache control — retries must bypass the cache so a result produced
-  /// under non-nominal settings is never stored under the nominal key.
-  OpcWindowResult opc_window_impl(std::size_t instance, OpcMode mode,
-                                  const LithoSimulator& sim,
-                                  const OpcOptions& opc_options,
-                                  bool use_cache,
-                                  OpcResult* staged = nullptr) const;
-  /// Drawn (uncorrected) mask for one instance window: the degradation
-  /// fallback when every OPC attempt faulted.
-  std::vector<Rect> drawn_mask_for_instance(std::size_t instance) const;
+  /// One OPC window in `mode` under explicit simulator/options (the
+  /// nominal ones, or the escalated retry settings).  Uncached: the window
+  /// loop owns the cache.
+  OpcWindow opc_window(OpcMode mode, const std::vector<Polygon>& targets,
+                       const Rect& window, const LithoSimulator& sim,
+                       const OpcOptions& opc_options) const;
   /// `subset`, when non-null, restricts the loop to those instance indices
   /// (ascending); masks_/opc_degraded_ stay design-sized either way.
   void run_opc_windows(
@@ -423,44 +407,29 @@ class PostOpcFlow {
   std::vector<GateExtraction> extract_impl(
       const LithoSimulator& sim, const Exposure& exposure,
       const std::optional<std::vector<GateIdx>>& subset) const;
-  /// sim.latent() memoized through the window cache (bit-identical either
-  /// way); falls through to a plain call when the cache is disabled or
-  /// `use_cache` is false (retry attempts).  `staged`, when non-null, is
-  /// the window's latent as computed by the batched staging pass (bit-
-  /// identical to the scalar sim.latent) and is consumed — moved from — in
-  /// place of the scalar call on a cache miss.
-  Image2D latent_for_window(const LithoSimulator& sim,
-                            const std::vector<Rect>& mask, const Rect& window,
-                            const Exposure& exposure, LithoQuality quality,
-                            bool use_cache, Image2D* staged = nullptr) const;
 
-  /// Per-window containment bookkeeping shared by the three hot loops.
-  /// Outcomes land in pre-sized slots and are merged into health_ in window
-  /// index order by record_outcomes() on the calling thread.
-  struct ItemOutcome {
-    bool faulted = false;    ///< at least one attempt threw
-    FlowError first_error;   ///< the first attempt's failure
-    std::size_t attempts = 1;
-    bool recovered = false;
-    bool degraded = false;
-  };
+  /// The three hot loops' descriptors for run_window_loop (window_loop.h):
+  /// window context, record fingerprint, cache probe/insert, batched
+  /// compute, escalated retry, degrade value and journal codec.  Defined in
+  /// flow.cpp.
+  struct OpcPhase;
+  struct ExtractPhase;
+  struct ScanPhase;
+  /// Runs `phase` through run_window_loop with this flow's threads,
+  /// cancellation, journal and recovery policy, in chunks of `chunk`
+  /// windows, and merges the outcomes into health.
+  template <typename Phase>
+  void run_windows(Phase& phase, std::size_t chunk) const;
+
+  /// Merges containment outcomes into health_ in window order (on the
+  /// calling thread, so health() is bit-identical at any thread count).
   void record_outcomes(const char* phase,
-                       const std::vector<ItemOutcome>& outcomes,
-                       const std::vector<std::uint64_t>& indices) const;
+                       const std::vector<WindowOutcome>& outcomes) const;
   void record_degraded_gate(GateIdx gate) const;
 
   /// Effective cancellation token for the hot loops (options().cancel, or
-  /// the process-global token when unset and journaling wants one).
+  /// the process-global token when unset).
   const CancelToken* cancel_token() const;
-  /// Per-window journal record identities.  Each covers everything the
-  /// window's result depends on (and its index), so a replayed record is
-  /// bit-equal to a recompute or it does not match at all.
-  Fingerprint opc_record_fp(std::size_t instance, OpcMode mode) const;
-  Fingerprint extract_record_fp(const LithoSimulator& sim,
-                                const Exposure& exposure, GateIdx gate) const;
-  Fingerprint scan_record_fp(std::size_t instance,
-                             const std::vector<ProcessCorner>& conditions,
-                             const OrcOptions& orc_options) const;
 
   const PlacedDesign* design_;
   const StdCellLibrary* lib_;
@@ -485,10 +454,11 @@ class PostOpcFlow {
   struct HealthState;
   std::shared_ptr<HealthState> health_state_;
 
-  /// Window-cache storage (see WindowCaches above); null when disabled.
-  /// shared_ptr so flow copies share one cache — the memoized values are
-  /// pure functions of the fingerprinted inputs, so sharing is always
-  /// sound.
+  /// Content-addressed window caches (see CacheOptions), defined in
+  /// flow.cpp; null when disabled.  shared_ptr so flow copies share one
+  /// cache — the memoized values are pure functions of the fingerprinted
+  /// inputs, so sharing is always sound.
+  struct WindowCaches;
   std::shared_ptr<WindowCaches> caches_;
 
   /// Write-ahead run journal (see JournalOptions); null when disabled or

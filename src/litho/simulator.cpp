@@ -69,15 +69,21 @@ Image2D LithoSimulator::rasterize(const std::vector<Rect>& features,
 
 std::vector<Image2D> LithoSimulator::latent_batch(
     const Image2D* const* masks, std::size_t count, const Exposure& exposure,
-    LithoQuality quality, ScratchArena& arena,
-    std::optional<ImagingMode> mode) const {
+    LithoQuality quality, ScratchArena& arena, std::optional<ImagingMode> mode,
+    const fault::Lane* lanes) const {
   const QualityContext& ctx = quality_context(quality);
   ImagingOptions imaging = imaging_;
   if (mode) imaging.mode = *mode;
   std::vector<Image2D> out = aerial_image_blurred_batch(
       masks, count, ctx.optics, exposure.focus_nm, resist_.diffusion_nm,
       ctx.source, imaging, arena);
-  for (Image2D& latent : out) finish_latent(latent, exposure);
+  for (std::size_t w = 0; w < count; ++w) {
+    if (lanes == nullptr) {
+      finish_latent(out[w], exposure);
+    } else {
+      fault::run_lane(lanes[w], [&] { finish_latent(out[w], exposure); });
+    }
+  }
   return out;
 }
 

@@ -8,6 +8,7 @@
 #include <optional>
 #include <vector>
 
+#include "src/common/fault.h"
 #include "src/geom/rect.h"
 #include "src/litho/image.h"
 #include "src/litho/imaging.h"
@@ -73,13 +74,16 @@ class LithoSimulator {
   /// finishes each in ascending batch order.  Element w is bit-identical to
   /// latent() over the features that rasterized masks[w] — batching never
   /// changes values, only amortizes the transforms.  Scratch comes from
-  /// `arena` (per worker; see tls_scratch_arena).
+  /// `arena` (per worker; see tls_scratch_arena).  With `lanes` (one per
+  /// mask), each mask is finished as its own fault::Lane: its probe runs
+  /// under that lane's scope and a failure lands in that lane alone.
   std::vector<Image2D> latent_batch(const Image2D* const* masks,
                                     std::size_t count,
                                     const Exposure& exposure,
                                     LithoQuality quality, ScratchArena& arena,
                                     std::optional<ImagingMode> mode =
-                                        std::nullopt) const;
+                                        std::nullopt,
+                                    const fault::Lane* lanes = nullptr) const;
 
   /// The resist-side tail of latent(): dose scaling plus the non-finite
   /// guard (and its fault-injection probe).  latent() and latent_batch()

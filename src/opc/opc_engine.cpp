@@ -10,6 +10,7 @@
 #include "src/common/fault.h"
 #include "src/common/log.h"
 #include "src/geom/polygon_ops.h"
+#include "src/litho/batch.h"
 #include "src/opc/sraf.h"
 
 namespace poc {
@@ -171,19 +172,14 @@ void OpcEngine::finish_correction(const OpcResult& result) const {
 OpcResult OpcEngine::correct(const std::vector<Polygon>& targets,
                              const Rect& window,
                              const Exposure& nominal) const {
-  OpcResult result = init_correction(targets, window);
-  LithoQuality quality = options_.sim_quality;
-  for (std::size_t iter = 0; iter < options_.max_iterations; ++iter) {
-    result.corrected = apply_fragments(targets, result.fragments);
-    const OpcImaging phase_imaging = quality == options_.final_quality
-                                         ? options_.final_imaging
-                                         : options_.sim_imaging;
-    measure_epe(result.fragments, result.mask_rects(), window, nominal,
-                quality, imaging_override(phase_imaging));
-    if (update_after_measure(result, quality, iter)) break;
-  }
-  finish_correction(result);
-  return result;
+  // A managed lane in the caller's fault scope: the one job's failure is
+  // captured like any batch lane's, then rethrown here.
+  std::exception_ptr error;
+  const OpcBatchJob job{&targets, window, {fault::Domain::kNone, 0, &error}};
+  std::vector<OpcResult> results =
+      correct_batch(&job, 1, nominal, tls_scratch_arena());
+  if (error) std::rethrow_exception(error);
+  return std::move(results.front());
 }
 
 std::vector<OpcResult> OpcEngine::correct_batch(const OpcBatchJob* jobs,
@@ -193,9 +189,15 @@ std::vector<OpcResult> OpcEngine::correct_batch(const OpcBatchJob* jobs,
   POC_EXPECTS(jobs != nullptr && count >= 1);
   std::vector<OpcResult> results(count);
   std::vector<LithoQuality> quality(count, options_.sim_quality);
+  // A window leaves the lockstep when it converges or its lane fails.
   std::vector<char> done(count, 0);
+  const auto run = [&](std::size_t j, auto&& f) {
+    if (!fault::run_lane(jobs[j].lane, f)) done[j] = 1;
+  };
   for (std::size_t j = 0; j < count; ++j) {
-    results[j] = init_correction(*jobs[j].targets, jobs[j].window);
+    run(j, [&] {
+      results[j] = init_correction(*jobs[j].targets, jobs[j].window);
+    });
   }
 
   // Lockstep ticks: every still-iterating window runs iteration `iter`
@@ -203,7 +205,7 @@ std::vector<OpcResult> OpcEngine::correct_batch(const OpcBatchJob* jobs,
   // imaging engine, raster shape) and each SOCS group goes through the
   // batched SoA engine in one pass.  The fragment moves each window makes
   // depend only on its own latents — batching shares transforms, never
-  // state — so each window walks exactly its scalar trajectory.
+  // state — so each window walks exactly its one-job trajectory.
   std::vector<Image2D> masks(count);
   std::vector<Image2D> latents(count);
   for (std::size_t iter = 0; iter < options_.max_iterations; ++iter) {
@@ -217,23 +219,24 @@ std::vector<OpcResult> OpcEngine::correct_batch(const OpcBatchJob* jobs,
     };
     std::vector<GroupKey> keys;
     std::vector<std::vector<std::size_t>> groups;  ///< ascending members
-    bool any_active = false;
     for (std::size_t j = 0; j < count; ++j) {
       if (done[j]) continue;
-      any_active = true;
-      results[j].corrected =
-          apply_fragments(*jobs[j].targets, results[j].fragments);
       const OpcImaging phase_imaging = quality[j] == options_.final_quality
                                            ? options_.final_imaging
                                            : options_.sim_imaging;
       const std::optional<ImagingMode> mode =
           imaging_override(phase_imaging);
-      const ImagingMode resolved = mode ? *mode : sim_->imaging().mode;
-      const bool socs = resolved == ImagingMode::kSocs;
-      if (socs) {
-        masks[j] = sim_->rasterize(results[j].mask_rects(), jobs[j].window,
-                                   quality[j]);
-      }
+      const bool socs =
+          (mode ? *mode : sim_->imaging().mode) == ImagingMode::kSocs;
+      run(j, [&] {
+        results[j].corrected =
+            apply_fragments(*jobs[j].targets, results[j].fragments);
+        if (socs) {
+          masks[j] = sim_->rasterize(results[j].mask_rects(), jobs[j].window,
+                                     quality[j]);
+        }
+      });
+      if (done[j]) continue;
       const GroupKey key{quality[j], socs, socs ? masks[j].nx() : 0,
                          socs ? masks[j].ny() : 0};
       std::size_t g = 0;
@@ -244,36 +247,45 @@ std::vector<OpcResult> OpcEngine::correct_batch(const OpcBatchJob* jobs,
       }
       groups[g].push_back(j);
     }
-    if (!any_active) break;
+    if (groups.empty()) break;
 
     for (std::size_t g = 0; g < groups.size(); ++g) {
       const std::vector<std::size_t>& members = groups[g];
       if (keys[g].socs) {
         std::vector<const Image2D*> ptrs;
-        ptrs.reserve(members.size());
-        for (std::size_t j : members) ptrs.push_back(&masks[j]);
+        std::vector<fault::Lane> lanes;
+        for (std::size_t j : members) {
+          ptrs.push_back(&masks[j]);
+          lanes.push_back(jobs[j].lane);
+        }
         std::vector<Image2D> batch =
             sim_->latent_batch(ptrs.data(), ptrs.size(), nominal, keys[g].q,
-                               arena, ImagingMode::kSocs);
+                               arena, ImagingMode::kSocs, lanes.data());
         for (std::size_t m = 0; m < members.size(); ++m) {
           latents[members[m]] = std::move(batch[m]);
         }
       } else {
         // Abbe phases stay on the untouched scalar reference path.
         for (std::size_t j : members) {
-          latents[j] = sim_->latent(results[j].mask_rects(), jobs[j].window,
-                                    nominal, keys[g].q, ImagingMode::kAbbe);
+          run(j, [&] {
+            latents[j] = sim_->latent(results[j].mask_rects(), jobs[j].window,
+                                      nominal, keys[g].q, ImagingMode::kAbbe);
+          });
         }
       }
     }
 
     for (std::size_t j = 0; j < count; ++j) {
       if (done[j]) continue;
-      probe_epe_on(latents[j], results[j].fragments);
-      if (update_after_measure(results[j], quality[j], iter)) done[j] = 1;
+      run(j, [&] {
+        probe_epe_on(latents[j], results[j].fragments);
+        if (update_after_measure(results[j], quality[j], iter)) done[j] = 1;
+      });
     }
   }
-  for (const OpcResult& r : results) finish_correction(r);
+  for (std::size_t j = 0; j < count; ++j) {
+    fault::run_lane(jobs[j].lane, [&] { finish_correction(results[j]); });
+  }
   return results;
 }
 

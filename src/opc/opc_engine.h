@@ -11,6 +11,7 @@
 #include <optional>
 #include <vector>
 
+#include "src/common/fault.h"
 #include "src/geom/polygon.h"
 #include "src/geom/rect.h"
 #include "src/litho/simulator.h"
@@ -78,10 +79,12 @@ struct OpcResult {
 class ScratchArena;  // src/litho/batch.h
 
 /// One window's inputs for OpcEngine::correct_batch.  `targets` must
-/// outlive the call and be non-empty.
+/// outlive the call and be non-empty.  `lane` names the window for the
+/// fault harness and, when managed, contains its failures (fault::Lane).
 struct OpcBatchJob {
   const std::vector<Polygon>* targets = nullptr;
   Rect window;
+  fault::Lane lane;
 };
 
 class OpcEngine {
@@ -93,6 +96,7 @@ class OpcEngine {
   /// the nominal exposure.  `window` must enclose the targets plus optical
   /// ambit; everything inside it is simulated together, so neighbouring
   /// shapes influence each other's correction (context-dependent OPC).
+  /// correct_batch with one job, on the calling thread's scratch arena.
   OpcResult correct(const std::vector<Polygon>& targets, const Rect& window,
                     const Exposure& nominal = {}) const;
 
@@ -101,11 +105,12 @@ class OpcEngine {
   /// by quality/imaging phase and raster shape; Abbe-phase windows fall back
   /// to scalar latents).  A window's correction trajectory depends only on
   /// its own latents, and each batched latent is bit-identical to the
-  /// scalar one, so results[j] == correct(*jobs[j].targets, jobs[j].window,
-  /// nominal) bit for bit — windows that converge early simply drop out of
-  /// later batches.  Throws exactly like correct() (non-convergence abort,
-  /// fault injection); callers that need per-window containment run windows
-  /// individually.
+  /// scalar one, so results[j] equals the one-job batch of jobs[j] bit for
+  /// bit — windows that converge early simply drop out of later batches.
+  /// Each job's work runs as its fault::Lane: a managed lane that throws
+  /// (non-convergence abort, fault injection) drops out with the exception
+  /// stored and its results[j] unspecified; an unmanaged lane throws
+  /// through.
   std::vector<OpcResult> correct_batch(const OpcBatchJob* jobs,
                                        std::size_t count,
                                        const Exposure& nominal,
@@ -129,17 +134,15 @@ class OpcEngine {
 
  private:
   /// Initializes one window's OpcResult (fragmentation, boundary freeze,
-  /// SRAFs) — the pre-iteration head shared by correct and correct_batch.
+  /// SRAFs) — the pre-iteration head of correct_batch.
   OpcResult init_correction(const std::vector<Polygon>& targets,
                             const Rect& window) const;
   /// Post-measurement half of one correction iteration: EPE statistics,
   /// convergence / handoff bookkeeping (quality is advanced in place) and
   /// the fragment moves.  Returns true when the window is done iterating.
-  /// Shared by correct and correct_batch so their trajectories cannot
-  /// drift apart.
   bool update_after_measure(OpcResult& result, LithoQuality& quality,
                             std::size_t iter) const;
-  /// Non-convergence abort check + completion log (tail of correct()).
+  /// Non-convergence abort check + completion log (tail of a correction).
   void finish_correction(const OpcResult& result) const;
 
   const LithoSimulator* sim_;

@@ -7,16 +7,13 @@ namespace {
 
 thread_local bool t_on_worker_thread = false;
 
-/// The cancellation exception every cancelled loop raises — same code and
-/// origin whatever the thread count or kill timing, so callers can match
-/// on FaultCode::kCancelled alone.
-[[noreturn]] void throw_cancelled() {
+}  // namespace
+
+void throw_cancelled() {
   throw FlowException(FlowError{FaultCode::kCancelled, kNoWindowId,
                                 "par.cancel",
                                 "cancelled at item boundary"});
 }
-
-}  // namespace
 
 CancelToken& global_cancel_token() {
   static CancelToken token;

@@ -47,8 +47,9 @@ namespace poc {
 /// width: a set token lets each in-flight window finish (so its result can
 /// still be journaled), skips every later item — the rest of the in-flight
 /// chunks included — and the loop then raises FlowException(kCancelled).
-/// A batching hot loop therefore stops within one window of cancellation,
-/// even though its worker staged the whole chunk up front.
+/// The flow's window loops (src/core/window_loop.h) poll it too before
+/// settling each window of a batch, so they stop within one window of
+/// cancellation even though a chunk's windows are computed together.
 /// request_cancel() is a single relaxed atomic store — async-signal-safe,
 /// so a SIGINT/SIGTERM handler may call it directly (see
 /// ScopedGracefulShutdown in src/run/shutdown.h).
@@ -65,6 +66,11 @@ class CancelToken {
  private:
   std::atomic<bool> cancelled_{false};
 };
+
+/// The exception every cancelled loop raises: FlowException(kCancelled)
+/// with the same origin whatever the thread count or kill timing, so
+/// callers can match on FaultCode::kCancelled alone.
+[[noreturn]] void throw_cancelled();
 
 /// Process-wide token the signal handlers target.  Loops that pass no
 /// explicit token are not affected by it — cancellation is opt-in per call.
@@ -156,22 +162,6 @@ class ThreadPool {
 /// Number of threads `requested` resolves to: 0 = hardware concurrency,
 /// otherwise the value itself (minimum 1).
 std::size_t resolve_threads(std::size_t requested);
-
-/// The contiguous chunk [lo, hi) that item `i` belongs to under
-/// parallel_for's fixed partitioning (chunk c covers [c*chunk,
-/// min((c+1)*chunk, n))).  Pure arithmetic on (n, chunk, i) — the batched
-/// hot loops use it to recognize the first index of their chunk and stage
-/// the whole chunk's work there (one worker owns a chunk end to end, so
-/// per-chunk staging needs no synchronization).
-struct ChunkSpan {
-  std::size_t lo = 0;
-  std::size_t hi = 0;
-};
-inline ChunkSpan chunk_span(std::size_t n, std::size_t chunk, std::size_t i) {
-  POC_EXPECTS(chunk >= 1 && i < n);
-  const std::size_t lo = (i / chunk) * chunk;
-  return {lo, std::min(lo + chunk, n)};
-}
 
 /// Shared process-wide pool used by the free parallel_for below.  Lazily
 /// constructed with enough workers that a `threads` request up to at least

@@ -3,11 +3,14 @@
 // off — or shrinking it until it evicts or rejects everything — may only
 // change wall time, never a single output bit, at any thread count.
 // EXPECT_EQ on doubles below is deliberate, as in determinism_test.
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstddef>
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,6 +21,7 @@
 #include "src/cache/result_cache.h"
 #include "src/common/fault.h"
 #include "src/core/flow.h"
+#include "src/core/window_codec.h"
 #include "src/netlist/generators.h"
 
 namespace poc {
@@ -229,33 +233,6 @@ TEST(ShardedCacheDisk, SpillsOnInsertAndServesAFreshInstance) {
   store->put(key(2), junk, sizeof junk);
   EXPECT_EQ(b.find(key(2)), nullptr);
   EXPECT_EQ(b.counters().misses, 1u);
-}
-
-TEST(ShardedCacheDisk, PeekPromotesFromDiskWithoutCounters) {
-  CacheTempDir dir("poc_cache_disk_peek");
-  const auto store = std::make_shared<DiskCacheStore>(dir.path.string());
-  {
-    ShardedCache<int> seed(1 << 12, 1);
-    seed.attach_disk(store, encode_int, decode_int);
-    seed.insert(key(9), std::make_shared<int>(99), 8);
-  }
-  ShardedCache<int> cache(1 << 12, 1);
-  cache.attach_disk(store, encode_int, decode_int);
-  const auto peeked = cache.peek(key(9));
-  ASSERT_NE(peeked, nullptr);
-  EXPECT_EQ(*peeked, 99);
-  const CacheCounters c = cache.counters();
-  EXPECT_EQ(c.hits + c.disk_hits + c.misses, 0u)
-      << "peek must not perturb lookup counters";
-
-  // The finds that follow count exactly what they would without the peek:
-  // the first is the disk hit, the second a memory hit.
-  ASSERT_NE(cache.find(key(9)), nullptr);
-  ASSERT_NE(cache.find(key(9)), nullptr);
-  const CacheCounters after = cache.counters();
-  EXPECT_EQ(after.disk_hits, 1u);
-  EXPECT_EQ(after.hits, 1u);
-  EXPECT_EQ(after.misses, 0u);
 }
 
 TEST(ShardedCacheDisk, CounterIdentityIsExactUnderConcurrentLookups) {
@@ -522,15 +499,125 @@ TEST(CacheFlowFaults, EscalatedRetryNeverPoisonsNominalFingerprints) {
   expect_same_extraction(cached.extract({}), reference.extract({}));
 }
 
+// ---------------------------------------------------------------------------
+// Window-result codecs on untrusted bytes
+
+/// `bytes` with the little-endian u64 at `at` replaced by `v`.
+void patch_u64(std::vector<std::uint8_t>& bytes, std::size_t at,
+               std::uint64_t v) {
+  std::memcpy(bytes.data() + at, &v, sizeof v);
+}
+
+/// nx * ny wraps to exactly `pixels` (any even count): the product an
+/// unguarded size check would accept.
+constexpr std::uint64_t kWrappingNx = (std::uint64_t{1} << 63) + 1;
+
+TEST(WindowCodec, RoundTripsAndRejectsCountsTheBytesCannotHold) {
+  const std::vector<Rect> rects{{0, 0, 40, 90}, {-5, 7, 12, 300}};
+  std::vector<std::uint8_t> bytes = to_bytes(rects);
+  std::vector<Rect> rects_back;
+  ASSERT_TRUE(from_bytes(bytes, rects_back));
+  EXPECT_EQ(rects_back, rects);
+  std::fill_n(bytes.begin(), 4, std::uint8_t{0xFF});
+  EXPECT_FALSE(from_bytes(bytes, rects_back));
+  EXPECT_TRUE(rects_back.empty()) << "no element may be sized from the count";
+
+  Image2D img(4, 8, 5.0, -2.5, 7.5);
+  for (std::size_t i = 0; i < img.data().size(); ++i) img.data()[i] = 0.5 * i;
+  bytes = to_bytes(img);
+  Image2D img_back;
+  ASSERT_TRUE(from_bytes(bytes, img_back));
+  EXPECT_EQ(img_back.data(), img.data());
+  EXPECT_EQ(img_back.origin_x(), img.origin_x());
+  patch_u64(bytes, 0, kWrappingNx);
+  patch_u64(bytes, 8, 32);  // (2^63 + 1) * 32 == 32 mod 2^64
+  EXPECT_FALSE(from_bytes(bytes, img_back));
+  patch_u64(bytes, 0, 0);
+  patch_u64(bytes, 8, 32);
+  EXPECT_FALSE(from_bytes(bytes, img_back));
+
+  OrcReport orc;
+  orc.violations.push_back({OrcViolation::Kind::kPinch, {3, 4}, 21.5});
+  bytes = to_bytes(orc);
+  std::fill_n(bytes.begin() + 16, 4, std::uint8_t{0xFF});  // after 2 doubles
+  EXPECT_FALSE(from_bytes(bytes, orc));
+
+  GateExtraction ext;
+  ext.gate = 3;
+  ext.devices.resize(1);
+  ext.devices[0].device = "MN1";
+  ext.devices[0].profile.slice_cd_nm = {90.0, 91.0};
+  bytes = to_bytes(ext);
+  GateExtraction ext_back;
+  ASSERT_TRUE(from_bytes(bytes, ext_back));
+  EXPECT_EQ(ext_back.devices[0].profile.slice_cd_nm,
+            ext.devices[0].profile.slice_cd_nm);
+  std::fill_n(bytes.begin() + 8, 4, std::uint8_t{0xFF});  // device count
+  EXPECT_FALSE(from_bytes(bytes, ext_back));
+}
+
+TEST(CacheDiskDecode, HugeCountEntriesReadAsMissesAndRecompute) {
+  // Disk entries with valid framing whose count fields no payload could
+  // hold (an OPC mask claiming 0xFFFFFFFF rects, a latent image whose
+  // nx * ny wraps around to its real pixel count) must read as misses:
+  // the windows recompute to the cache-off reference's exact bits.
+  PlacedDesign design = place_and_route(make_c17(), lib());
+  CacheTempDir good("poc_cache_decode_good");
+  CacheTempDir bad("poc_cache_decode_bad");
+  FlowOptions opts = flow_options(1, /*cache=*/true);
+  opts.cache.disk_path = good.path.string();
+  {
+    PostOpcFlow flow(design, lib(), LithoSimulator{}, opts);
+    flow.run_opc(OpcMode::kModelBased);
+    flow.extract({});
+  }
+  std::size_t republished = 0;
+  for (const std::string kind : {"opc", "latent"}) {
+    const DiskCacheStore from((good.path / kind).string());
+    DiskCacheStore to((bad.path / kind).string());
+    for (const auto& e :
+         std::filesystem::directory_iterator(good.path / kind)) {
+      const std::string hex = e.path().stem().string();
+      if (e.path().extension() != ".entry" || hex.size() != 32) continue;
+      const Fingerprint fp{std::stoull(hex.substr(0, 16), nullptr, 16),
+                           std::stoull(hex.substr(16), nullptr, 16)};
+      std::vector<std::uint8_t> bytes;
+      ASSERT_TRUE(from.get(fp, &bytes));
+      if (kind == "opc") {
+        std::fill_n(bytes.begin(), 4, std::uint8_t{0xFF});
+      } else {
+        std::uint64_t nx = 0, ny = 0;
+        std::memcpy(&nx, bytes.data(), sizeof nx);
+        std::memcpy(&ny, bytes.data() + 8, sizeof ny);
+        patch_u64(bytes, 0, kWrappingNx);
+        patch_u64(bytes, 8, nx * ny);
+      }
+      ASSERT_TRUE(to.put(fp, bytes.data(), bytes.size()));
+      ++republished;
+    }
+  }
+  ASSERT_GT(republished, 0u);
+
+  opts.cache.disk_path = bad.path.string();
+  PostOpcFlow flow(design, lib(), LithoSimulator{}, opts);
+  flow.run_opc(OpcMode::kModelBased);
+  PostOpcFlow reference(design, lib(), LithoSimulator{},
+                        flow_options(1, /*cache=*/false));
+  reference.run_opc(OpcMode::kModelBased);
+  expect_same_masks(flow, reference, design.layout.num_instances());
+  expect_same_extraction(flow.extract({}), reference.extract({}));
+  EXPECT_TRUE(flow.health().clean());
+  EXPECT_EQ(flow.cache_counters().opc.disk_hits, 0u);
+  EXPECT_EQ(flow.cache_counters().latent.disk_hits, 0u);
+}
+
 TEST(CacheFlowBatch, BatchOfMissesKeepsCacheObservablesIdentical) {
-  // The batched hot loops assemble a chunk by *peeking* the cache (no
-  // counters, no LRU touch) and batch-compute only the misses; the
-  // authoritative find + insert still run per index, in ascending order
-  // within the chunk.  So a chunk full of identical cold windows — a batch
-  // of misses — must behave exactly like the scalar loop: the first index
-  // inserts, the rest hit or have their duplicate insert dropped
-  // (first-insert-wins), and every counter the cache exposes matches the
-  // unbatched run at one thread.
+  // The window loop probes a chunk with find in index order, batch-
+  // computes the misses and inserts in index order; a window whose key
+  // repeats an earlier miss of its chunk waits a round and then hits.  So
+  // a chunk of identical cold windows must behave exactly like width 1:
+  // the first index inserts, the rest hit, and every counter the cache
+  // exposes matches the width-1 run at one thread.
   PlacedDesign design = place_and_route(make_c17(), lib());
   const auto run = [&](std::size_t batch) {
     FlowOptions opts = flow_options(1, /*cache=*/true);
@@ -562,11 +649,11 @@ TEST(CacheFlowBatch, BatchOfMissesKeepsCacheObservablesIdentical) {
 }
 
 TEST(CacheFlowBatch, StagedScanReportsKeepOrcCacheObservablesIdentical) {
-  // The scan's counterpart: staging peeks the ORC cache, batch-images the
-  // missing (window, corner) pairs and parks only their reduced reports;
-  // the per-index find + insert stay authoritative.  A cold scan and a
-  // warm rescan must leave every ORC counter exactly where the unstaged
-  // loop leaves it, at one thread and at the default auto width.
+  // The scan's counterpart: the loop finds each (window, corner) in the
+  // ORC cache, batch-images the missing pairs and inserts their reports
+  // in index order.  A cold scan and a warm rescan must leave every ORC
+  // counter exactly where the width-1 loop leaves it, at one thread and
+  // at the default auto width.
   PlacedDesign design = place_and_route(make_c17(), lib());
   OrcOptions orc;
   orc.epe_limit_nm = 6.0;
@@ -603,30 +690,6 @@ TEST(CacheFlowBatch, StagedScanReportsKeepOrcCacheObservablesIdentical) {
     EXPECT_EQ(ca.bytes, cb.bytes) << "pass " << pass;
   }
   EXPECT_GT(staged->cache_counters().orc.hits, 0u);
-}
-
-TEST(ShardedCache, PeekNeitherCountsNorTouchesLru) {
-  // peek() is the batched loops' assembly probe: it must see exactly what
-  // find() would, without perturbing any observable — counters or
-  // eviction order.
-  ShardedCache<int> cache(1 << 12);
-  cache.insert(key(1), std::make_shared<int>(1), 1);
-  EXPECT_NE(cache.peek(key(1)), nullptr);
-  EXPECT_EQ(cache.peek(key(2)), nullptr);
-  const CacheCounters c = cache.counters();
-  EXPECT_EQ(c.hits, 0u);
-  EXPECT_EQ(c.misses, 0u);
-
-  // LRU check: with capacity for 3 cost-1 entries, peeking entry 1 (unlike
-  // finding it) must NOT protect it from being the eviction victim.
-  ShardedCache<int> lru(3, /*shards=*/1);
-  lru.insert(key(1), std::make_shared<int>(1), 1);
-  lru.insert(key(2), std::make_shared<int>(2), 1);
-  lru.insert(key(3), std::make_shared<int>(3), 1);
-  EXPECT_NE(lru.peek(key(1)), nullptr);
-  lru.insert(key(4), std::make_shared<int>(4), 1);
-  EXPECT_EQ(lru.find(key(1)), nullptr) << "peek must not refresh LRU";
-  EXPECT_NE(lru.find(key(4)), nullptr);
 }
 
 TEST(CacheFlowSocs, SocsFlowBitIdenticalCacheOnOffAndThreaded) {

@@ -593,6 +593,189 @@ TEST_F(FaultFlowFixture, DisabledRecoveryRestoresFailFast) {
 }
 
 // ---------------------------------------------------------------------------
+// Batched windows under faults: every window of a batch is its own fault
+// lane, so a fault plan must play out exactly as it does at width 1 —
+// same results, health, fired probes and cache counters — whatever the
+// batch width and thread count.
+
+/// Everything one OPC -> extract -> scan run under a fault plan produces.
+struct BatchRun {
+  std::vector<std::vector<Rect>> masks;
+  OpcStats opc;
+  std::vector<GateExtraction> ext;
+  PostOpcFlow::HotspotReport scan;
+  FlowHealth health;
+  std::vector<fault::Triggered> triggered;
+  PostOpcFlow::FlowCacheCounters counters;
+};
+
+BatchRun run_under_plan(const fault::Config& cfg, std::size_t batch,
+                        std::size_t threads) {
+  static const PlacedDesign design = place_and_route(make_c17(), lib());
+  ScopedFault plan(cfg);
+  FlowOptions opts = fault_flow_options(threads, /*cache=*/true);
+  opts.imaging.batch_windows = batch;
+  PostOpcFlow flow(design, lib(), LithoSimulator{}, opts);
+  flow.run_opc(OpcMode::kModelBased);
+  BatchRun r;
+  for (std::size_t i = 0; i < design.layout.num_instances(); ++i) {
+    r.masks.push_back(flow.mask_for_instance(i));
+  }
+  r.opc = flow.opc_stats();
+  r.ext = flow.extract({});
+  OrcOptions orc;
+  orc.epe_limit_nm = 6.0;
+  r.scan = flow.scan_hotspots(
+      {{"nominal", {0.0, 1.0}}, {"stress", {150.0, 1.08}}}, orc);
+  r.health = flow.health();
+  r.triggered = fault::triggered();
+  r.counters = flow.cache_counters();
+  return r;
+}
+
+void expect_same_counters(const CacheCounters& a, const CacheCounters& b) {
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.insertions, b.insertions);
+  EXPECT_EQ(a.rejected, b.rejected);
+  EXPECT_EQ(a.entries, b.entries);
+  EXPECT_EQ(a.bytes, b.bytes);
+}
+
+void expect_same_run(const BatchRun& a, const BatchRun& b,
+                     bool same_latent_counters) {
+  EXPECT_EQ(a.masks, b.masks);
+  EXPECT_EQ(a.opc.iterations, b.opc.iterations);
+  EXPECT_EQ(a.opc.fragments, b.opc.fragments);
+  EXPECT_EQ(a.opc.max_abs_epe_nm, b.opc.max_abs_epe_nm);
+  EXPECT_EQ(a.opc.rms_epe_sum, b.opc.rms_epe_sum);
+  ASSERT_EQ(a.ext.size(), b.ext.size());
+  for (std::size_t g = 0; g < a.ext.size(); ++g) {
+    expect_same_devices(a.ext[g], b.ext[g]);
+  }
+  EXPECT_EQ(a.scan.windows_checked, b.scan.windows_checked);
+  ASSERT_EQ(a.scan.hotspots.size(), b.scan.hotspots.size());
+  for (std::size_t h = 0; h < a.scan.hotspots.size(); ++h) {
+    EXPECT_EQ(a.scan.hotspots[h].instance, b.scan.hotspots[h].instance);
+    EXPECT_EQ(a.scan.hotspots[h].exposure_name,
+              b.scan.hotspots[h].exposure_name);
+    EXPECT_EQ(a.scan.hotspots[h].violation.where,
+              b.scan.hotspots[h].violation.where);
+    EXPECT_EQ(a.scan.hotspots[h].violation.value_nm,
+              b.scan.hotspots[h].violation.value_nm);
+  }
+  ASSERT_EQ(a.health.faults.size(), b.health.faults.size());
+  for (std::size_t f = 0; f < a.health.faults.size(); ++f) {
+    const FlowHealth::WindowFault& fa = a.health.faults[f];
+    const FlowHealth::WindowFault& fb = b.health.faults[f];
+    EXPECT_EQ(fa.phase, fb.phase);
+    EXPECT_EQ(fa.index, fb.index);
+    EXPECT_EQ(fa.code, fb.code);
+    EXPECT_EQ(fa.origin, fb.origin);
+    EXPECT_EQ(fa.attempts, fb.attempts);
+    EXPECT_EQ(fa.recovered, fb.recovered);
+    EXPECT_EQ(fa.degraded, fb.degraded);
+  }
+  EXPECT_EQ(a.health.degraded_gates, b.health.degraded_gates);
+  EXPECT_EQ(a.health.retries, b.health.retries);
+  ASSERT_EQ(a.triggered.size(), b.triggered.size());
+  for (std::size_t t = 0; t < a.triggered.size(); ++t) {
+    EXPECT_EQ(a.triggered[t].kind, b.triggered[t].kind);
+    EXPECT_EQ(a.triggered[t].domain, b.triggered[t].domain);
+    EXPECT_EQ(a.triggered[t].index, b.triggered[t].index);
+  }
+  expect_same_counters(a.counters.opc, b.counters.opc);
+  expect_same_counters(a.counters.orc, b.counters.orc);
+  if (same_latent_counters) {
+    expect_same_counters(a.counters.latent, b.counters.latent);
+  }
+}
+
+/// Runs sticky and transient plans faulting `kind` at `indices` of
+/// `domain` at batch widths 0 (width 1), auto and 3, at 1 and 4 threads,
+/// against the width-1 serial run.  c17 has six windows per phase, so
+/// width 3 puts two targets in one batch and auto width changes with the
+/// thread count.  The cache is on; the targets are windows whose cache
+/// keys are unique, so a hit can never skip their probes.  Extraction
+/// windows of gates 0, 2, 3 and 5 do repeat: across chunks, which of them
+/// computes and which hits depends on scheduling at 4 threads (at any
+/// width), so latent counters are compared at 1 thread only.
+void expect_batching_invisible(fault::Domain domain, fault::Kind kind,
+                               const std::vector<std::uint64_t>& indices) {
+  for (const bool transient : {false, true}) {
+    SCOPED_TRACE(transient ? "transient" : "sticky");
+    fault::Config cfg;
+    cfg.enabled = true;
+    cfg.transient = transient;
+    for (const std::uint64_t i : indices) cfg.targets.push_back({kind, domain, i});
+    const BatchRun ref = run_under_plan(cfg, 0, 1);
+    EXPECT_FALSE(ref.triggered.empty()) << "the plan must fire";
+    EXPECT_FALSE(ref.health.clean());
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      for (const std::size_t batch :
+           {std::size_t{0}, kBatchWindowsAuto, std::size_t{3}}) {
+        if (threads == 1 && batch == 0) continue;
+        SCOPED_TRACE("threads=" + std::to_string(threads) + " batch=" +
+                     (batch == kBatchWindowsAuto ? std::string("auto")
+                                                 : std::to_string(batch)));
+        expect_same_run(ref, run_under_plan(cfg, batch, threads),
+                        /*same_latent_counters=*/threads == 1);
+      }
+    }
+  }
+}
+
+TEST(FaultFlowBatch, OpcAlloc) {
+  expect_batching_invisible(fault::Domain::kOpc, fault::Kind::kAlloc,
+                            {1, 2, 4});
+}
+
+TEST(FaultFlowBatch, OpcNanPixel) {
+  expect_batching_invisible(fault::Domain::kOpc, fault::Kind::kNanPixel,
+                            {1, 2, 4});
+}
+
+TEST(FaultFlowBatch, OpcConvergenceStall) {
+  expect_batching_invisible(fault::Domain::kOpc,
+                            fault::Kind::kConvergenceStall, {1, 2, 4});
+}
+
+TEST(FaultFlowBatch, OpcCacheInsert) {
+  expect_batching_invisible(fault::Domain::kOpc, fault::Kind::kCacheInsert,
+                            {1, 2, 4});
+}
+
+TEST(FaultFlowBatch, ExtractAlloc) {
+  expect_batching_invisible(fault::Domain::kExtract, fault::Kind::kAlloc,
+                            {1, 4});
+}
+
+TEST(FaultFlowBatch, ExtractNanPixel) {
+  expect_batching_invisible(fault::Domain::kExtract, fault::Kind::kNanPixel,
+                            {1, 4});
+}
+
+TEST(FaultFlowBatch, ExtractCacheInsert) {
+  expect_batching_invisible(fault::Domain::kExtract,
+                            fault::Kind::kCacheInsert, {1, 4});
+}
+
+TEST(FaultFlowBatch, ScanAlloc) {
+  expect_batching_invisible(fault::Domain::kScan, fault::Kind::kAlloc,
+                            {1, 2, 4});
+}
+
+TEST(FaultFlowBatch, ScanNanPixel) {
+  expect_batching_invisible(fault::Domain::kScan, fault::Kind::kNanPixel,
+                            {1, 2, 4});
+}
+
+TEST(FaultFlowBatch, ScanCacheInsert) {
+  expect_batching_invisible(fault::Domain::kScan, fault::Kind::kCacheInsert,
+                            {1, 2, 4});
+}
+
+// ---------------------------------------------------------------------------
 // I/O fault domains: wildcard targets + the vfs shim
 
 TEST(FaultInjector, AnyIndexWildcardMatchesEveryScopedIndex) {

@@ -1365,6 +1365,64 @@ TEST(ShardSelfHeal, RetriesExhaustedRedistributeResidualAcrossSurvivors) {
   EXPECT_GT(result.worker_stats.size(), 2u);
 }
 
+TEST(FlowJournalDecode, HugeCountPayloadsRecomputeBitIdentical) {
+  // Journal records with valid frames and checksums whose payload count
+  // field reads 0xFFFFFFFF (a corrupt or hostile writer) must read as
+  // misses: no decoder sizes an allocation from the count, and every
+  // window recomputes to the uninterrupted run's exact bits.
+  TempDir good("poc_run_decode_good");
+  TempDir bad("poc_run_decode_bad");
+  const std::vector<ProcessCorner> corners = {{"nominal", {0.0, 1.0}}};
+  Fingerprint config_fp;
+  PostOpcFlow::HotspotReport scan;
+  {
+    PostOpcFlow flow(design(), lib(), LithoSimulator{},
+                     journaled_options(1, good.path));
+    flow.run_opc(OpcMode::kModelBased);
+    flow.extract({});
+    scan = flow.scan_hotspots(corners);
+    config_fp = flow.config_fingerprint();
+  }
+  std::vector<JournalRecord> records;
+  {
+    JournalOptions jo;
+    jo.enabled = true;
+    jo.path = good.path.string();
+    records = RunJournal(jo, config_fp).loaded_records();
+  }
+  ASSERT_FALSE(records.empty());
+  for (JournalRecord& rec : records) {
+    // OPC payloads open with the mask's rect count, scan payloads with the
+    // corner count; extraction payloads carry the gate id before the
+    // device count.
+    const std::size_t at = rec.phase == JournalPhase::kExtract ? 8 : 0;
+    ASSERT_GE(rec.payload.size(), at + 4);
+    std::fill_n(rec.payload.begin() + at, 4, std::uint8_t{0xFF});
+  }
+  std::string error;
+  ASSERT_TRUE(journal_io::write_sealed_segment(bad.path.string(), 1,
+                                               config_fp, records, &error))
+      << error;
+
+  PostOpcFlow flow(design(), lib(), LithoSimulator{},
+                   journaled_options(1, bad.path));
+  flow.run_opc(OpcMode::kModelBased);
+  const TimingComparison cmp = flow.compare_timing({});
+  expect_same_comparison(cmp, reference_cmp());
+  EXPECT_TRUE(cmp.health.clean());
+  const PostOpcFlow::HotspotReport rescan = flow.scan_hotspots(corners);
+  EXPECT_EQ(rescan.windows_checked, scan.windows_checked);
+  ASSERT_EQ(rescan.hotspots.size(), scan.hotspots.size());
+  for (std::size_t h = 0; h < scan.hotspots.size(); ++h) {
+    EXPECT_EQ(rescan.hotspots[h].violation.where,
+              scan.hotspots[h].violation.where);
+    EXPECT_EQ(rescan.hotspots[h].violation.value_nm,
+              scan.hotspots[h].violation.value_nm);
+  }
+  // The records were found, then turned away by the decoders.
+  EXPECT_EQ(flow.journal_stats().replayed_hits, records.size());
+}
+
 TEST(FlowJournalFaults, StickyEnospcKeepsResultsLosesDurabilityOnly) {
   // Every journal write fails with ENOSPC for the whole run: the flow must
   // complete bit-identically (the journal is a pure durability layer) and
@@ -1464,8 +1522,10 @@ TEST(SupervisorSignals, ForwardsFirstSignalAndEscalatesRepeats) {
   // workers die by that signal, nothing escalates.
   {
     std::vector<WorkerCommand> cmds;
-    cmds.push_back({0, {"/bin/sh", "-c", "sleep 30"}});
-    cmds.push_back({1, {"/bin/sh", "-c", "sleep 30"}});
+    // exec: the signalled worker is the sleeper itself, so no orphaned
+    // child keeps the test's output pipe open for the full 30 s.
+    cmds.push_back({0, {"/bin/sh", "-c", "exec sleep 30"}});
+    cmds.push_back({1, {"/bin/sh", "-c", "exec sleep 30"}});
     SupervisorOptions so;
     so.watchdog = true;
     so.no_progress_timeout_ms = 600000;  // the watchdog must stay out
@@ -1501,7 +1561,8 @@ TEST(SupervisorSignals, ForwardsFirstSignalAndEscalatesRepeats) {
   // steps, not collapse into one delivery.
   {
     std::vector<WorkerCommand> cmds;
-    cmds.push_back({0, {"/bin/sh", "-c", "trap '' TERM; sleep 30"}});
+    // An ignored disposition survives exec, so the sleeper stays immune.
+    cmds.push_back({0, {"/bin/sh", "-c", "trap '' TERM; exec sleep 30"}});
     SupervisorOptions so;
     so.watchdog = true;
     so.no_progress_timeout_ms = 600000;
