@@ -298,8 +298,7 @@ OpcWindow model_window(const OpcResult& result) {
 }
 
 /// `e` with its mask moved by `by` (window frame <-> cache local frame).
-OpcWindow translated(
-    const OpcWindow& e, Point by) {
+OpcWindow translated(const OpcWindow& e, Point by) {
   OpcWindow out;
   out.mask.reserve(e.mask.size());
   for (const Rect& r : e.mask) out.mask.push_back(r.translated(by));

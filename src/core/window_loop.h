@@ -17,9 +17,9 @@
 //      settings, then degrades.  Then it is journaled.
 // A window whose cache key repeats an earlier miss of the same chunk waits
 // one round and then hits the entry that window inserted, so cache
-// counters match a width-1 run exactly.  Every decision is keyed by window
-// index, never by scheduling: results, health, injected faults and cache
-// counters are identical at any batch width and thread count.
+// counters match a width-1 run on one thread exactly.  Every decision is
+// keyed by window index, never by scheduling: results, health and injected
+// faults are identical at any batch width and thread count.
 //
 // Containment off (fail-fast) is the same loop with no retries and no
 // degrade; after the loop the lowest failing window's original exception
